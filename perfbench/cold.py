@@ -21,7 +21,8 @@ from pathlib import Path
 
 # The benchmark's own modules come first; the program's imports below
 # are part of the cold set-up being timed.
-from common import TRACE_DIR, WORLD_SEED, peak_rss_mb, rmse
+from common import TRACE_DIR, WORLD_SEED, peak_rss_mb, reset_peak_rss, rmse
+from layers import CHECK_SPAN
 from spans import Tracer
 
 CHECK_POINTS = 64  # lattice points sampled per artifact for the 1e-9 check
@@ -51,24 +52,50 @@ def check_artifact(artifact, rng) -> list:
     return []
 
 
-def map_rmse_db(artifact) -> float:
-    """RMSE of the artifact's REM lattice against the world's true mean RSS."""
-    rem = artifact.rem
-    environment = artifact.result.scenario.environment
+def map_rmse_db(rem, environment) -> float:
+    """RMSE of a REM lattice against the world's true mean RSS."""
     macs = list(rem.macs)
     truth = environment.mean_rss_dbm_many(macs, rem.grid.points())
     return rmse(rem.field_tensor(macs).reshape(len(macs), -1) - truth)
 
 
-def _build_tuned(store, capture: list) -> None:
-    from repro.radio.scenario_cache import default_cache
-    from repro.serve import RemJobSpec, run_job
+class ArtifactChecks:
+    """Checks each built artifact as the program hands it back.
 
-    # The default spec on every seed: the tuned winner flips with the
-    # train/test split (p=1 vs p=2), and with it peak memory (958 vs
-    # 671 MB), so a seeded split would make every metric bimodal.
-    artifact = run_job(RemJobSpec(), store)
-    capture.append((artifact, default_cache().stats()))
+    Only scalars and the digest are kept, so no artifact outlives the
+    point where the program drops it.  The check's time is recorded per
+    digest, to be taken out of the timed operation; the peak memory is
+    read before the check and restarted after it.  The map error needs
+    the world's true field over the whole lattice, so it is computed
+    after the timed operation (:meth:`map_errors`), from the stored map.
+    """
+
+    def __init__(self, rng, tracer: Tracer):
+        self.rng = rng
+        self.tracer = tracer
+        self.seconds: dict = {}  # digest -> time spent checking
+        self.failures: list = []
+        self.holdout: list = []
+        self.cache_stats: list = []
+        self.worlds: list = []  # (digest, environment), shared with the scenario cache
+        self.peak_mb = 0.0
+
+    def __call__(self, artifact) -> None:
+        from repro.radio.scenario_cache import default_cache
+
+        self.peak_mb = max(self.peak_mb, peak_rss_mb())
+        start = time.perf_counter()
+        with self.tracer.span(CHECK_SPAN), self.tracer.paused():
+            self.cache_stats.append(default_cache().stats())
+            self.failures += check_artifact(artifact, self.rng)
+            self.holdout.append(artifact.provenance["test_rmse_dbm"])
+            self.worlds.append((artifact.digest, artifact.result.scenario.environment))
+        reset_peak_rss()
+        self.seconds[artifact.digest] = time.perf_counter() - start
+
+    def map_errors(self, store) -> list:
+        """``map_rmse_db`` of every checked artifact, read back from ``store``."""
+        return [map_rmse_db(store.load(d).rem, env) for d, env in self.worlds]
 
 
 def sweep_jobset(seed: int):
@@ -84,18 +111,18 @@ def sweep_jobset(seed: int):
     )
 
 
-def _sweep_acquire(seed: int, store, capture: list):
+def _sweep_acquire(seed: int, store, checks: ArtifactChecks):
+    """The inline sweep, each cell's artifact checked as the runner gets it."""
     import repro.serve.jobset as jobset_module
-    from repro.radio.scenario_cache import default_cache
 
     run_job = vars(jobset_module)["run_job"]
 
-    def capturing_run_job(spec, store=None):
+    def checked_run_job(spec, store=None):
         artifact = run_job(spec, store)
-        capture.append((artifact, default_cache().stats()))
+        checks(artifact)
         return artifact
 
-    jobset_module.run_job = capturing_run_job
+    jobset_module.run_job = checked_run_job
     try:
         return jobset_module.JobSetRunner(store, workers=0).run(sweep_jobset(seed))
     finally:
@@ -140,36 +167,37 @@ def main() -> int:
         print(json.dumps({"setup_s": setup_s}))
         return 0
 
-    capture: list = []
+    checks = ArtifactChecks(np.random.default_rng(args.seed), tracer)
     start = time.perf_counter()
     with tracer.span("op"):
         if args.workload == "build_tuned":
-            _build_tuned(store, capture)
+            from repro.serve import RemJobSpec, run_job
+
+            # The default spec on every seed: the tuned winner flips with
+            # the train/test split (p=1 vs p=2), and with it peak memory
+            # (958 vs 671 MB), so a seeded split would make every metric
+            # bimodal.
+            checks(run_job(RemJobSpec(), store))
             records = None
         else:
-            records = _sweep_acquire(args.seed, store, capture).records
-    wall_s = time.perf_counter() - start
-    peak = peak_rss_mb()
+            records = _sweep_acquire(args.seed, store, checks).records
+    wall_s = time.perf_counter() - start - sum(checks.seconds.values())
+    peak = max(checks.peak_mb, peak_rss_mb())
     cache_stats = cache.stats()
     tracer.restore()
 
-    # ---- output checks (untimed) ------------------------------------
-    failures = []
-    attempted = 1
+    # ---- outcomes (each artifact was checked as it was built) ---------
+    failures = list(checks.failures)
     if records is None:
         ops_ms = [wall_s * 1e3]
+        attempted = 1 + len(checks.holdout)
     else:
-        ops_ms = [r.wall_s * 1e3 for r in records]
-        attempted = len(records)
+        ops_ms = [(r.wall_s - checks.seconds.get(r.digest, 0.0)) * 1e3 for r in records]
+        attempted = len(records) + len(checks.holdout)
         failures += [f"cell {r.digest[:12]} {r.status}" for r in records if r.status != "built"]
-    if not capture or capture[0][1]["campaign_builds"] < 1:
+    if not checks.cache_stats or checks.cache_stats[0]["campaign_builds"] < 1:
         failures.append("cold start violated: first build flew no campaign")
-    rng = np.random.default_rng(args.seed)
-    for artifact, _ in capture:
-        attempted += 1
-        failures += check_artifact(artifact, rng)
-    holdout = [a.provenance["test_rmse_dbm"] for a, _ in capture]
-    maps = [map_rmse_db(a) for a, _ in capture]
+    holdout, maps = checks.holdout, checks.map_errors(store)
 
     result = {
         "setup_s": setup_s,

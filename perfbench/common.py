@@ -13,7 +13,7 @@ import platform
 import resource
 import subprocess
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 #: Repository root (the benchmark lives in ``<root>/perfbench``).
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,8 +45,10 @@ E2E_METRICS: Dict[str, str] = {
     "map_rmse_db": "dB",
 }
 
-_PREDICTOR_METHODS = ("fit", "predict", "predict_points", "partial_fit")
-_REDUCE_KINDS = ("query", "strongest_ap", "coverage", "dark_regions")
+#: Predictor methods the traced run wraps, one metric pair each.
+PREDICTOR_METHODS = ("fit", "predict", "predict_points", "partial_fit")
+#: Request types the service reduces, one span each.
+REDUCE_KINDS = ("query", "strongest_ap", "coverage", "dark_regions")
 
 #: Per-layer metrics (printed with ``--trace 1``), name -> unit.  Layers
 #: a workload does not exercise report 0.
@@ -75,7 +77,7 @@ LAYER_METRICS: Dict[str, str] = {
     "core.predictors.grid_search.busy_s": "s",
     **{
         f"core.predictors.{method}.{stat}": unit
-        for method in _PREDICTOR_METHODS
+        for method in PREDICTOR_METHODS
         for stat, unit in (("calls", "count"), ("busy_s", "s"))
     },
     "core.rem.build_rem.busy_s": "s",
@@ -91,7 +93,7 @@ LAYER_METRICS: Dict[str, str] = {
     "serve.service.lookup.busy_s": "s",
     "serve.service.lru_hit_ratio": "ratio",
     "serve.service.evictions": "count",
-    **{f"serve.service.reduce.{kind}.busy_s": "s" for kind in _REDUCE_KINDS},
+    **{f"serve.service.reduce.{kind}.busy_s": "s" for kind in REDUCE_KINDS},
     "serve.service.encode.busy_s": "s",
     "serve.service.encode.bytes": "bytes",
     "serve.service.submit.busy_s": "s",
@@ -135,8 +137,18 @@ def rmse(errors) -> float:
 # host
 # ----------------------------------------------------------------------
 def peak_rss_mb() -> float:
-    """Peak resident memory of this process so far (MB)."""
+    """Peak resident memory of this process since start or the last reset (MB)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def reset_peak_rss() -> None:
+    """Restart the peak at the current resident memory (Linux 4.0+).
+
+    The benchmark checks each sweep artifact as it is built and then
+    resets the peak, so the check's own arrays never count.
+    """
+    with open("/proc/self/clear_refs", "w", encoding="ascii") as handle:
+        handle.write("5")
 
 
 def _blas_threads() -> str:
@@ -175,18 +187,6 @@ def host_stamp() -> Dict[str, object]:
         "git_sha": _git_sha(),
         "platform": platform.platform(),
     }
-
-
-def requires_cpus(needed: int, host: Dict[str, object]) -> Optional[str]:
-    """``None`` when ``host`` has ``needed`` usable cores, else a skip note.
-
-    A parallel workload reports this note in place of a speed-up ratio,
-    so no ratio is ever recorded from a host without the cores.
-    """
-    have = int(host["cpus_usable"])
-    if have >= needed:
-        return None
-    return f"skipped: needs {needed} cpus, host has {have}"
 
 
 def child_env() -> Dict[str, str]:

@@ -1,5 +1,5 @@
-"""Which layer functions the traced build/sweep run wraps, and how the
-recorded spans and counters become the per-layer metrics.
+"""Which layer functions the traced runs wrap, and how the recorded
+spans and counters become the per-layer metrics.
 
 Each entry wraps a public function or method at the place its caller
 looks it up: ``repro.core.pipeline.grid_search`` (not the definition in
@@ -14,10 +14,12 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict
 
-from common import LAYER_METRICS, median
+from common import LAYER_METRICS, PREDICTOR_METHODS, median
 from spans import Tracer, summarize
 
-_PREDICTOR_METHODS = ("fit", "predict", "predict_points", "partial_fit")
+#: Span of the benchmark's own output checks inside a timed sweep; the
+#: per-layer arithmetic leaves it out of the timed operation.
+CHECK_SPAN = "bench.check"
 
 
 def _payload_bytes(path) -> int:
@@ -89,9 +91,43 @@ def install_build_layers(tracer: Tracer) -> None:
     wrap(ArtifactStore, "save", "serve.artifact.save", _save_done)
     wrap(ArtifactStore, "load", "serve.artifact.load")
     for cls in {Predictor, *PREDICTOR_FACTORIES.values()}:
-        for method in _PREDICTOR_METHODS:
+        for method in PREDICTOR_METHODS:
             if method in vars(cls):
                 wrap(cls, method, f"core.predictors.{method}")
+
+
+def install_serve_layers(tracer: Tracer) -> None:
+    """Wrap the serving layers where ``repro.serve.http``'s handler finds them.
+
+    ``parse`` is the handler's body decode plus the typed-request and
+    job-spec builders; ``encode`` is the responses' ``to_json`` and the
+    handler's ``_send_json``.  Each reduction is wrapped in the
+    service's dispatch table, which ``handle`` reads.
+    """
+    import repro.serve.http as http
+    from repro.serve import service
+    from repro.serve.artifact import ArtifactStore
+    from repro.serve.spec import RemJobSpec
+
+    wrap = tracer.wrap
+    wrap(http._Handler, "_read_json", "serve.service.parse")
+    wrap(http, "request_from_dict", "serve.service.parse")
+    wrap(http, "requests_from_list", "serve.service.parse")
+    wrap(RemJobSpec, "from_dict", "serve.service.parse")
+    wrap(service.RemService, "artifact", "serve.service.lookup")
+    wrap(service.RemService, "submit", "serve.service.submit")
+    wrap(ArtifactStore, "load", "serve.artifact.load")
+    handlers = service.RemService._HANDLERS
+    for request_type, reduction in list(handlers.items()):
+        wrap(handlers, request_type, f"serve.service.reduce.{reduction.__name__}")
+    for response in (
+        service.QueryResponse,
+        service.StrongestApResponse,
+        service.CoverageResponse,
+        service.DarkRegionsResponse,
+    ):
+        wrap(response, "to_json", "serve.service.encode")
+    wrap(http._Handler, "_send_json", "serve.service.encode")
 
 
 def _ratio(num: float, den: float) -> float:
@@ -131,7 +167,7 @@ def layer_metrics(
         counters.get("scan_records", 0), metrics["wifi.scan.calls"]
     )
     cells = [s[2] - s[1] for s in spans if s[0] == "serve.jobset.cell"]
-    root_s = summary[root]["busy_s"]
+    root_s = summary[root]["busy_s"] - summary.get(CHECK_SPAN, {}).get("busy_s", 0.0)
     if cells:
         metrics["serve.jobset.cell_s"] = median(cells)
         metrics["serve.jobset.self_s"] = root_s - sum(cells)

@@ -229,9 +229,17 @@ def run_serve(seed: int, seconds: float, trace: int, workdir: Path):
         )
         report.append(f"max rate meeting p99 <= {serving.P99_LIMIT_MS:g} ms: "
                       f"{max_rate} rps")
-        plain_s = serving.replay(handle.store, replayed)
+        # The untraced time is the faster of two passes, one on each side
+        # of the traced pass, so warming the page cache favours neither.
+        before_s, lost = serving.replay(handle.store, replayed)
         tracer = Tracer()
-        traced_s = serving.replay(handle.store, replayed, tracer)
+        traced_s, traced_failed = serving.replay(handle.store, replayed, tracer)
+        after_s, after_failed = serving.replay(handle.store, replayed)
+        plain_s = min(before_s, after_s)
+        lost += traced_failed + after_failed
+        attempted += 3 * len(replayed)
+        failed += lost
+        notes += [f"in-process replay: {lost} non-200"] * bool(lost)
         from layers import layer_metrics
 
         metrics = layer_metrics(tracer, "replay", {})
@@ -264,7 +272,9 @@ def run_serve(seed: int, seconds: float, trace: int, workdir: Path):
             "holdout_rmse_db": median(
                 [a.provenance["test_rmse_dbm"] for a in handle.artifacts]
             ),
-            "map_rmse_db": cold.map_rmse_db(handle.artifacts[0]),
+            "map_rmse_db": cold.map_rmse_db(
+                handle.artifacts[0].rem, handle.artifacts[0].result.scenario.environment
+            ),
         }
     return metrics, attempted, failed, notes, report
 

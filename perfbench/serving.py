@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from common import P99_LIMIT_MS, percentile
+from common import P99_LIMIT_MS, REDUCE_KINDS, percentile
 from spans import Tracer
 
 CAPACITY = 4  # the worker's loaded-artifact LRU
@@ -40,20 +40,53 @@ WORKING_SET = (
     ("per_mac_knn", {}),
     ("baseline", {}),
 )
-#: Request mix: every block of 50 requests holds exactly these counts
-#: (88% / 10% / 2%) in a seeded order, so runs differ in order and
-#: content but not in composition.
+
+# No client trace of this service exists.  The traffic figures below
+# follow from what each metric must measure and from the measured
+# service time of each request class; README.md gives the derivation.
+
+#: Server time (ms) of one request of each class on one worker: closed
+#: loop over one keep-alive connection, 3 x 400 requests per class, on a
+#: 2-CPU x86-64 host (0.27-0.35 ms, 8.4-8.7 ms and 2.1-2.5 ms measured).
+SERVICE_MS = {"query": 0.28, "batch": 8.4, "job": 2.2}
+#: Request mix: every block of 50 requests holds exactly these counts in
+#: a seeded order, so runs differ in order and content, not composition.
+#: Batches are twice the 5% tail (10%), so ``op_p95_ms`` falls at the
+#: median batch and not on the cliff between the ~0.3 ms query and the
+#: ~8 ms batch latencies.  One resubmit per block (2%) is the fewest a
+#: block holds.  Queries are the rest (88%), so ``op_p50_ms`` is a query.
 MIX_BLOCK = {"query": 44, "batch": 5, "job": 1}
-BATCH_KINDS = ("query", "strongest_ap", "coverage", "dark_regions")
-BATCH_ITEMS = 16  # four of each kind
-#: Open-loop rates (requests/s).  The reference rate runs in several
-#: windows of ~1200 requests; the medians of their p50 and p95 are
-#: op_p50_ms / op_p95_ms, so one window disturbed by a noisy neighbour
-#: does not move the result.  The p99 (the ladder's limit) is printed
-#: per window but swung 0.36 (IQR / median) between seeds on a shared
-#: 2-CPU host: too unsteady to hold a regression bound.
-LADDER = (150, 300, 600, 900, 1200)
-REFERENCE_RATE = 300
+#: Four items of each reduction kind per batch, so every batch does the
+#: same work and the per-kind spans compare.
+BATCH_ITEMS = 16
+POINTS_PER_ITEM = 4
+#: Coverage and dark-region thresholds are drawn between these
+#: percentiles of the hot map's strongest-AP RSS, so the dark fraction
+#: they ask about runs from 0.05 to 0.95 and no answer is trivially
+#: empty or full.
+THRESHOLD_PERCENTILES = (5.0, 95.0)
+#: Share of the mix's capacity offered at the reference rate.  The host
+#: ran up to ~50% slower within hours; at 1/3 that still leaves the
+#: worker half idle, so latency stays service time plus mild queueing.
+UTILISATION = 1 / 3
+
+
+def mix_capacity_rps() -> float:
+    """Requests/s one worker serves of the mix, from :data:`SERVICE_MS`."""
+    ms = sum(count * SERVICE_MS[kind] for kind, count in MIX_BLOCK.items())
+    return 1e3 * sum(MIX_BLOCK.values()) / ms
+
+
+#: Open-loop rates (requests/s), rounded to 50.  The reference rate runs
+#: in several windows of ~1200 requests; the medians of their p50 and
+#: p95 are op_p50_ms / op_p95_ms, so one window disturbed by a noisy
+#: neighbour does not move the result.  The p99 (the ladder's limit) is
+#: printed per window but swung 0.36 (IQR / median) between seeds on a
+#: shared 2-CPU host: too unsteady to hold a regression bound.  The
+#: ladder's 0.5x-4x of the reference brackets the capacity (~2.9x), so
+#: its top step must miss the limit.
+REFERENCE_RATE = 50 * round(mix_capacity_rps() * UTILISATION / 50)
+LADDER = tuple(int(REFERENCE_RATE * m) for m in (0.5, 1, 2, 3, 4))
 REFERENCE_WINDOWS = 5
 #: A step whose generator ran later than this is invalid.
 LAG_LIMIT_MS = 5.0
@@ -102,8 +135,13 @@ def make_stream(
     job_specs: Sequence[Dict],
     low: Sequence[float],
     high: Sequence[float],
+    thresholds: Sequence[float],
 ) -> List[Request]:
-    """``n`` requests of the mix; the same ``(seed, tag)`` gives the same stream."""
+    """``n`` requests of the mix; the same ``(seed, tag)`` gives the same stream.
+
+    Points are uniform over the box ``low``..``high``; thresholds are
+    uniform over ``thresholds`` (low, high).
+    """
     rng = _rng(seed, tag)
     low, high = np.asarray(low, float), np.asarray(high, float)
     hot = digests[0]
@@ -114,8 +152,8 @@ def make_stream(
     def batch_item(kind: str) -> dict:
         digest = digests[int(rng.integers(len(digests)))]
         if kind in ("query", "strongest_ap"):
-            return {"digest": digest, "type": kind, "points": points(4)}
-        threshold = round(float(rng.uniform(-45.0, -30.0)), 2)
+            return {"digest": digest, "type": kind, "points": points(POINTS_PER_ITEM)}
+        threshold = round(float(rng.uniform(*thresholds)), 2)
         item = {"digest": digest, "type": kind, "threshold_dbm": threshold}
         if kind == "dark_regions":
             item["max_points"] = 16
@@ -125,7 +163,7 @@ def make_stream(
     kinds = np.concatenate(
         [rng.permutation(block) for _ in range(-(-n // len(block)))]
     )[:n]
-    batch_kinds = BATCH_KINDS * (BATCH_ITEMS // len(BATCH_KINDS))
+    batch_kinds = REDUCE_KINDS * (BATCH_ITEMS // len(REDUCE_KINDS))
     stream = []
     for kind in kinds:
         if kind == "query":
@@ -156,7 +194,7 @@ def poisson_schedule(seed: int, tag: str, rate: float, duration_s: float) -> np.
 # the load generator
 # ----------------------------------------------------------------------
 class _Connection:
-    """A keep-alive connection with an incremental response parser."""
+    """A keep-alive connection: its socket, receive buffer and requests in flight."""
 
     def __init__(self, address):
         self.sock = socket.create_connection(address, timeout=60)
@@ -164,23 +202,24 @@ class _Connection:
         self.buffer = bytearray()
         self.inflight: deque = deque()
 
-    def responses(self):
-        """Yield ``(status, body)`` for each complete response buffered."""
-        while True:
-            split = self.buffer.find(b"\r\n\r\n")
-            if split < 0:
-                return
-            header = bytes(self.buffer[:split]).lower()
-            mark = header.find(b"content-length:")
-            stop = header.find(b"\r\n", mark)
-            length = int(header[mark + 15 : stop if stop >= 0 else len(header)])
-            total = split + 4 + length
-            if len(self.buffer) < total:
-                return
-            status = int(header[9:12])
-            body = bytes(self.buffer[split + 4 : total])
-            del self.buffer[:total]
-            yield status, body
+
+def split_responses(buffer: bytearray):
+    """Yield ``(status, body)`` per complete response, consuming ``buffer``."""
+    while True:
+        split = buffer.find(b"\r\n\r\n")
+        if split < 0:
+            return
+        header = bytes(buffer[:split]).lower()
+        mark = header.find(b"content-length:")
+        stop = header.find(b"\r\n", mark)
+        length = int(header[mark + 15 : stop if stop >= 0 else len(header)])
+        total = split + 4 + length
+        if len(buffer) < total:
+            return
+        status = int(header[9:12])
+        body = bytes(buffer[split + 4 : total])
+        del buffer[:total]
+        yield status, body
 
 
 @dataclass
@@ -268,7 +307,7 @@ def drive(
                     raise ConnectionError("server closed a keep-alive connection")
                 conn.buffer += chunk
                 stamp = time.monotonic() - start
-                for code, body in conn.responses():
+                for code, body in split_responses(conn.buffer):
                     index = conn.inflight.popleft()
                     done[index] = stamp
                     status[index] = code
@@ -296,7 +335,7 @@ def get_json(address, path: str) -> dict:
     try:
         conn.sock.sendall(f"GET {path} HTTP/1.1\r\nHost: bench\r\n\r\n".encode())
         while True:
-            for _, body in conn.responses():
+            for _, body in split_responses(conn.buffer):
                 return json.loads(body)
             chunk = conn.sock.recv(1 << 16)
             if not chunk:
@@ -340,8 +379,10 @@ class ServeHandle:
         self.artifacts = [run_job(spec, self.store) for spec in specs]
         self.digests = [a.digest for a in self.artifacts]
         self.job_specs = [spec.to_dict() for spec in specs]
-        volume = self.artifacts[0].rem.grid.volume
-        self.low, self.high = volume.min_corner, volume.max_corner
+        hot = self.artifacts[0].rem
+        self.low, self.high = hot.grid.volume.min_corner, hot.grid.volume.max_corner
+        strongest = hot.field_tensor(list(hot.macs)).reshape(len(hot.macs), -1).max(axis=0)
+        self.thresholds = tuple(np.percentile(strongest, THRESHOLD_PERCENTILES))
         self.cluster = RemCluster(self.store.root, workers=1, capacity=CAPACITY)
         self.cluster.start()
         self.address = self.cluster.address
@@ -349,7 +390,8 @@ class ServeHandle:
     def stream(self, tag: str, n: int) -> List[Request]:
         """The seeded request stream ``tag`` over this working set."""
         return make_stream(
-            self.seed, tag, n, self.digests, self.job_specs, self.low, self.high
+            self.seed, tag, n, self.digests, self.job_specs, self.low, self.high,
+            self.thresholds,
         )
 
     def warm(self) -> None:
@@ -469,68 +511,45 @@ def _matches(item: dict, got: dict, rem) -> bool:
 # ----------------------------------------------------------------------
 # in-process replay (the traced run's per-layer view)
 # ----------------------------------------------------------------------
-_KIND_OF = {
-    "QueryRequest": "query",
-    "StrongestApRequest": "strongest_ap",
-    "CoverageRequest": "coverage",
-    "DarkRegionsRequest": "dark_regions",
-}
+def replay(store, requests: Sequence[Request], tracer: Optional[Tracer] = None):
+    """Answer ``requests`` in-process through the server's own handler.
 
-
-def replay(store, requests: Sequence[Request], tracer: Optional[Tracer] = None) -> float:
-    """Answer ``requests`` in-process the way the HTTP handler does.
-
-    ``json.loads`` → ``request_from_dict`` / ``requests_from_list`` →
-    ``RemService.handle`` (lookup inside) → ``to_json``, with the worker's
-    capacity and ``mmap=True``; job resubmits go through
-    ``RemService.submit``.  Returns the wall seconds of the pass.
+    The raw request bytes go through ``repro.serve.http``'s handler
+    (``handle_one_request`` → ``do_POST``) over in-memory streams, with
+    the worker's capacity and ``mmap=True``, so the header parse, the
+    routing, ``json.loads``, ``request_from_dict`` /
+    ``requests_from_list``, ``RemService.handle`` / ``handle_many`` /
+    ``submit`` and ``to_json`` are all the program's code.  Returns the
+    wall seconds of the pass and the number of non-200 answers.
     """
-    from repro.serve import RemJobSpec, RemService, request_from_dict, requests_from_list
-    from repro.serve.artifact import ArtifactStore
+    import io
+    from types import SimpleNamespace
+
+    from repro.serve.http import _Handler
+    from repro.serve.service import RemService
 
     span = tracer.span if tracer is not None else (lambda name: nullcontext())
-    service = RemService(store, capacity=CAPACITY, mmap=True)
+    handler = _Handler.__new__(_Handler)
+    handler.server = SimpleNamespace(
+        service=RemService(store, capacity=CAPACITY, mmap=True), draining=False
+    )
+    handler.client_address = ("127.0.0.1", 0)
+    handler.rfile = io.BytesIO(b"".join(request.wire for request in requests))
+    handler.wfile = io.BytesIO()
     if tracer is not None:
-        tracer.wrap(RemService, "artifact", "serve.service.lookup")
-        tracer.wrap(ArtifactStore, "load", "serve.artifact.load")
+        from layers import install_serve_layers
+
+        install_serve_layers(tracer)
     start = time.perf_counter()
     try:
         with span("replay"):
-            for request in requests:
-                body = request.wire[request.wire.index(b"\r\n\r\n") + 4 :]
-                if request.kind == "job":
-                    with span("serve.service.parse"):
-                        spec = RemJobSpec.from_dict(json.loads(body))
-                    with span("serve.service.submit"):
-                        artifact = service.submit(spec)
-                    with span("serve.service.encode"):
-                        record = artifact.record()
-                        record["cache_hit"] = artifact.cache_hit
-                        out = json.dumps(record).encode()
-                else:
-                    with span("serve.service.parse"):
-                        data = json.loads(body)
-                        if request.kind == "query":
-                            typed = [request_from_dict(request.path.split("/")[3], data)]
-                        else:
-                            typed = requests_from_list(data)
-                    answers = []
-                    for item in typed:
-                        kind = _KIND_OF[type(item).__name__]
-                        with span(f"serve.service.reduce.{kind}"):
-                            answers.append(service.handle(item))
-                    with span("serve.service.encode"):
-                        if request.kind == "query":
-                            out = answers[0].to_json().encode()
-                        else:
-                            out = (
-                                '{"responses": ['
-                                + ", ".join(a.to_json() for a in answers)
-                                + "]}"
-                            ).encode()
-                if tracer is not None:
-                    tracer.count("serve.service.encode.bytes", len(out))
+            for _ in requests:
+                handler.handle_one_request()
     finally:
         if tracer is not None:
             tracer.restore()
-    return time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    answers = list(split_responses(bytearray(handler.wfile.getvalue())))
+    if tracer is not None:
+        tracer.count("serve.service.encode.bytes", sum(len(body) for _, body in answers))
+    return seconds, len(requests) - sum(status == 200 for status, _ in answers)

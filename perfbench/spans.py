@@ -30,6 +30,7 @@ class Tracer:
         self.counters: Dict[str, float] = defaultdict(float)
         self._stack: List[int] = []
         self._patches: List[tuple] = []
+        self._paused = 0
 
     @contextmanager
     def span(self, name: str) -> Iterator[None]:
@@ -44,6 +45,19 @@ class Tracer:
             self.spans[index][2] = time.perf_counter()
             self._stack.pop()
 
+    @contextmanager
+    def paused(self) -> Iterator[None]:
+        """Run the block without recording wrapped calls.
+
+        The benchmark's own output checks call the program (for example
+        ``predict_points``); those calls must not count as its work.
+        """
+        self._paused += 1
+        try:
+            yield
+        finally:
+            self._paused -= 1
+
     def count(self, name: str, value: float = 1.0) -> None:
         """Add ``value`` to the counter ``name``."""
         self.counters[name] += value
@@ -57,33 +71,36 @@ class Tracer:
     ) -> None:
         """Replace ``owner.attribute`` by a span-recording wrapper.
 
+        ``owner`` is a module, a class (a classmethod stays one) or a
+        dict, whose entry ``owner[attribute]`` is replaced.
         ``on_result(tracer, result)`` runs after each outermost call, to
         count the work the call did.  Calls nested in a span of the same
         name (a method calling its base class) are passed through, so
         each unit of work is counted once.
         """
-        func = vars(owner)[attribute]
+        func = owner[attribute] if isinstance(owner, dict) else vars(owner)[attribute]
+        method = func.__func__ if isinstance(func, classmethod) else func
         tracer = self
 
-        @functools.wraps(func)
+        @functools.wraps(method)
         def wrapper(*args, **kwargs):
             stack = tracer._stack
-            if stack and tracer.spans[stack[-1]][0] == name:
-                return func(*args, **kwargs)
+            if tracer._paused or (stack and tracer.spans[stack[-1]][0] == name):
+                return method(*args, **kwargs)
             with tracer.span(name):
-                result = func(*args, **kwargs)
+                result = method(*args, **kwargs)
             if on_result is not None:
                 on_result(tracer, result)
             return result
 
-        setattr(owner, attribute, wrapper)
+        _assign(owner, attribute, classmethod(wrapper) if method is not func else wrapper)
         self._patches.append((owner, attribute, func))
 
     def restore(self) -> None:
         """Undo every :meth:`wrap`, newest first."""
         while self._patches:
             owner, attribute, original = self._patches.pop()
-            setattr(owner, attribute, original)
+            _assign(owner, attribute, original)
 
     def write(self, path: Path) -> None:
         """Write spans and counters as one JSON document."""
@@ -103,6 +120,13 @@ class Tracer:
                 },
                 handle,
             )
+
+
+def _assign(owner, attribute: str, value) -> None:
+    if isinstance(owner, dict):
+        owner[attribute] = value
+    else:
+        setattr(owner, attribute, value)
 
 
 def load_spans(path) -> List[Span]:

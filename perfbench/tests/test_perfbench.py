@@ -24,7 +24,9 @@ JOBS = [{"seed": 1, "tune": False}, {"seed": 1, "predictor": "idw", "tune": Fals
 
 
 def _stream(seed, tag="ladder-300", n=300):
-    return serving.make_stream(seed, tag, n, DIGESTS, JOBS, (0, 0, 0), (4, 3, 2))
+    return serving.make_stream(
+        seed, tag, n, DIGESTS, JOBS, (0, 0, 0), (4, 3, 2), (-41.0, -31.0)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -50,8 +52,20 @@ def test_stream_holds_the_mix_in_every_block():
     batch = next(r for r in _stream(3) if r.kind == "batch")
     types = [item["type"] for item in batch.payload]
     assert len(types) == serving.BATCH_ITEMS
-    assert all(types.count(k) == 4 for k in serving.BATCH_KINDS)
+    assert all(types.count(k) == 4 for k in common.REDUCE_KINDS)
     assert {item["digest"] for item in batch.payload} <= set(DIGESTS)
+    thresholds = [item["threshold_dbm"] for item in batch.payload if "threshold_dbm" in item]
+    assert thresholds and all(-41.0 <= t <= -31.0 for t in thresholds)
+
+
+def test_traffic_figures_follow_their_derivation():
+    block = sum(serving.MIX_BLOCK.values())
+    # batches are twice the 5% tail, so the p95 falls at the median batch
+    assert serving.MIX_BLOCK["batch"] / block == pytest.approx(2 * 0.05)
+    assert serving.MIX_BLOCK["query"] / block > 0.5
+    capacity = serving.mix_capacity_rps()
+    assert abs(serving.REFERENCE_RATE - capacity * serving.UTILISATION) <= 25
+    assert serving.LADDER[0] < serving.REFERENCE_RATE < capacity < serving.LADDER[-1]
 
 
 def test_points_stay_in_the_volume():
@@ -119,6 +133,28 @@ def test_tracer_wrap_records_and_restores():
     assert tracer.counters["units"] == 3
 
 
+def test_tracer_wraps_dict_entries_and_classmethods_and_pauses():
+    class Spec:
+        @classmethod
+        def make(cls, n):
+            return cls, n
+
+    table = {"double": lambda n: 2 * n}
+    tracer = Tracer()
+    original = vars(Spec)["make"]
+    tracer.wrap(Spec, "make", "parse")
+    tracer.wrap(table, "double", "reduce")
+    with tracer.span("op"):
+        assert Spec.make(1) == (Spec, 1)
+        assert table["double"](2) == 4
+        with tracer.paused():
+            assert table["double"](3) == 6
+    tracer.restore()
+    assert vars(Spec)["make"] is original and table["double"](1) == 2
+    summary = summarize(tracer.spans)
+    assert summary["parse"]["calls"] == 1 and summary["reduce"]["calls"] == 1
+
+
 # ----------------------------------------------------------------------
 # load generator parser
 # ----------------------------------------------------------------------
@@ -130,14 +166,13 @@ def test_response_parser_handles_split_and_pipelined_responses():
         ).encode() + body
 
     wire = response(200, b'{"a": 1}') + response(404, b"{}") + response(200, b"[1,2]")
-    conn = serving._Connection.__new__(serving._Connection)
-    conn.buffer = bytearray()
+    buffer = bytearray()
     got = []
     for start in range(0, len(wire), 7):
-        conn.buffer += wire[start : start + 7]
-        got += list(conn.responses())
+        buffer += wire[start : start + 7]
+        got += list(serving.split_responses(buffer))
     assert got == [(200, b'{"a": 1}'), (404, b"{}"), (200, b"[1,2]")]
-    assert not conn.buffer
+    assert not buffer
 
 
 # ----------------------------------------------------------------------
@@ -162,11 +197,6 @@ def test_benchmark_json_states_the_p99_limit():
 def test_setup_has_the_largest_bound():
     bounds = {m["name"]: m["bound"] for m in _benchmark()["end_to_end"]}
     assert bounds["setup_s"] == max(bounds.values()) <= 0.25
-
-
-def test_requires_cpus_skips_on_small_hosts():
-    assert common.requires_cpus(4, {"cpus_usable": 1}).startswith("skipped")
-    assert common.requires_cpus(2, {"cpus_usable": 2}) is None
 
 
 def test_fails_without_the_program(tmp_path):
