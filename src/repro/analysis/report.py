@@ -156,7 +156,7 @@ def stage_stats(
 
     Sums the ``provenance["stage_wall_s"]`` breakdowns that
     :func:`repro.serve.jobs.run_job` records (scenario / campaign /
-    preprocess / fit / rem / uncertainty, via
+    preprocess / fit / score / rem / uncertainty, via
     :class:`repro.perf.StageTimer`) into ``{stage: {total_s, mean_s,
     n}}``, sorted by descending total.  Artifacts built before the
     breakdown existed are skipped; an empty dict means no record

@@ -177,7 +177,8 @@ def _run_toolchain(
         else:
             predictor.fit(prep.train)
 
-    test_rmse = rmse(prep.test.rssi_dbm, predictor.predict(prep.test))
+    with maybe_span(timer, "score"):
+        test_rmse = rmse(prep.test.rssi_dbm, predictor.predict(prep.test))
     with maybe_span(timer, "rem"):
         rem = build_rem(
             predictor,

@@ -41,6 +41,11 @@ in-tree implementations achieve this by appending the delta rows to
 their per-MAC/structure-of-arrays buffers (row order is preserved, so
 the appended arrays equal the full-fit masked arrays bit for bit) and
 recomputing derived statistics only for the MACs the delta touched.
+
+The grid search (§III-B) scores a whole parameter family per fold
+through :meth:`Predictor.cv_predict`; the default fits each
+configuration on its own, and the k-NN overrides it to share one fit
+and its distance work across the family.
 """
 
 from __future__ import annotations
@@ -130,6 +135,23 @@ class Predictor(abc.ABC):
         raise NotImplementedError(
             f"{type(self).__name__} does not support partial_fit "
             "(supports_partial_fit is False); refit from scratch instead"
+        )
+
+    def cv_predict(
+        self,
+        train: REMDataset,
+        validation: REMDataset,
+        param_sets: Sequence[Dict[str, Any]],
+    ) -> np.ndarray:
+        """Predictions on ``validation`` of every configuration, fit on ``train``.
+
+        Returns a ``(len(param_sets), len(validation))`` array, one row
+        per parameter set: the grid search's per-fold entry point.  The
+        default fits and predicts each configuration independently;
+        estimators whose configurations can share work override it.
+        """
+        return np.stack(
+            [self.clone(**p).fit(train).predict(validation) for p in param_sets]
         )
 
     # ------------------------------------------------------------------

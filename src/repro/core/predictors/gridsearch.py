@@ -4,7 +4,9 @@ The paper tunes every estimator "using a grid search considering an
 exhaustive set of hyperparameters" with a validation set carved out of
 the training data (§III-B).  This module provides the generic
 machinery: parameter grids, seeded k-fold CV scored by RMSE, and
-refit-on-full-train of the winner.
+refit-on-full-train of the winner.  Each fold is split once and scored
+for the whole grid by one :meth:`Predictor.cv_predict` call, so
+estimators can share work across configurations.
 """
 
 from __future__ import annotations
@@ -88,6 +90,30 @@ def _kfold_indices(
         yield training, validation
 
 
+def _cv_scores(
+    predictor: Predictor,
+    train: REMDataset,
+    param_sets: List[Dict[str, Any]],
+    k_folds: int,
+    seed: int,
+) -> List[CvResult]:
+    """k-fold CV of every parameter set: one ``cv_predict`` call per fold."""
+    if k_folds < 2:
+        raise ValueError(f"need at least 2 folds, got {k_folds}")
+    fold_rmses: List[List[float]] = [[] for _ in param_sets]
+    for train_idx, val_idx in _kfold_indices(len(train), k_folds, seed):
+        predictions = predictor.cv_predict(
+            train.subset(train_idx), train.subset(val_idx), param_sets
+        )
+        targets = train.rssi_dbm[val_idx]
+        for scores, row in zip(fold_rmses, predictions):
+            scores.append(rmse(targets, row))
+    return [
+        CvResult(params=dict(params), fold_rmses=scores)
+        for params, scores in zip(param_sets, fold_rmses)
+    ]
+
+
 def cross_validate(
     predictor: Predictor,
     train: REMDataset,
@@ -96,15 +122,7 @@ def cross_validate(
     seed: int = 13,
 ) -> CvResult:
     """k-fold CV of one parameter combination, scored by RMSE."""
-    if k_folds < 2:
-        raise ValueError(f"need at least 2 folds, got {k_folds}")
-    fold_rmses: List[float] = []
-    for train_idx, val_idx in _kfold_indices(len(train), k_folds, seed):
-        model = predictor.clone(**params)
-        model.fit(train.subset(train_idx))
-        predictions = model.predict(train.subset(val_idx))
-        fold_rmses.append(rmse(train.rssi_dbm[val_idx], predictions))
-    return CvResult(params=dict(params), fold_rmses=fold_rmses)
+    return _cv_scores(predictor, train, [params], k_folds, seed)[0]
 
 
 def grid_search(
@@ -115,10 +133,7 @@ def grid_search(
     seed: int = 13,
 ) -> GridSearchResult:
     """Exhaustive CV over ``grid``; the winner is refit on all of train."""
-    results = [
-        cross_validate(predictor, train, params, k_folds=k_folds, seed=seed)
-        for params in grid
-    ]
+    results = _cv_scores(predictor, train, list(grid), k_folds, seed)
     best_result = min(results, key=lambda r: r.mean_rmse)
     best = predictor.clone(**best_result.params)
     best.fit(train)

@@ -23,11 +23,17 @@ so instead of forming the full ``(3 + n_macs)``-dimensional feature
 matrix per MAC, :meth:`KnnRegressor.predict_mac_grid` computes the
 3-D powered distance matrix **once** and adds the constant cross-MAC
 penalty per MAC — one small matrix instead of 73 wide ones.
+
+The grid search's :meth:`KnnRegressor.cv_predict` extends the sharing
+across configurations: one fit per fold, the distance matrix per ``p``,
+the global candidates per ``n_neighbors``, the per-MAC neighbor search
+per ``onehot_scale``, and only the final average per ``weights``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import copy
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,6 +126,16 @@ def _inverse_distance_average(
     if has_zero.any():
         w[has_zero] = zero_mask[has_zero].astype(float)
     return np.sum(w * neighbor_y, axis=1) / np.sum(w, axis=1)
+
+
+def _group_by(
+    members: List[Tuple[int, "KnnRegressor"]], param: str
+) -> List[List[Tuple[int, "KnnRegressor"]]]:
+    """Split ``(row, model)`` pairs into groups sharing ``model.<param>``."""
+    groups: Dict[Any, List[Tuple[int, "KnnRegressor"]]] = {}
+    for member in members:
+        groups.setdefault(getattr(member[1], param), []).append(member)
+    return list(groups.values())
 
 
 class KnnRegressor(Predictor):
@@ -262,20 +278,38 @@ class KnnRegressor(Predictor):
         """Batched prediction via the partitioned-penalty decomposition."""
         self._require_fitted()
         points, mac_indices = self._coerce_point_query(points, mac_indices)
-        assert self._train_macs is not None
-        out = np.empty(len(points))
-        for start in range(0, len(points), _GRID_CHUNK_ROWS):
-            sl = slice(start, min(start + _GRID_CHUNK_ROWS, len(points)))
-            base = _powered_distances(points[sl], self._train_positions, self.p)
-            global_idx, global_pow = self._global_candidates(base)
-            chunk_macs = mac_indices[sl]
-            chunk_out = out[sl]
-            for mac_index in np.unique(chunk_macs):
-                rows = chunk_macs == mac_index
-                chunk_out[rows] = self._reduce_for_mac(
-                    base[rows], global_idx[rows], global_pow[rows], int(mac_index)
-                )
-        return out
+        return self._neighbor_pass(
+            [self], points, mac_indices, KnnRegressor._weighted_average
+        )[0]
+
+    def cv_predict(
+        self,
+        train: REMDataset,
+        validation: REMDataset,
+        param_sets: Sequence[Dict[str, Any]],
+    ) -> np.ndarray:
+        """Predict ``validation`` under every configuration in one pass.
+
+        Row ``i`` equals ``clone(**param_sets[i]).fit(train)
+        .predict_points(validation.positions, validation.mac_indices)``
+        bit for bit.  :meth:`fit` reads no hyper-parameter, so one fit
+        serves every configuration, and :meth:`_neighbor_pass` shares
+        the distance work between configurations that agree on the
+        parameters it reads.
+        """
+        configs = [self.clone(**params) for params in param_sets]
+        fitted = self.clone().fit(train)
+        models = []
+        for config in configs:
+            model = copy.copy(fitted)
+            vars(model).update(config.get_params())
+            models.append(model)
+        points, mac_indices = self._coerce_point_query(
+            validation.positions, validation.mac_indices
+        )
+        return fitted._neighbor_pass(
+            models, points, mac_indices, KnnRegressor._weighted_average
+        )
 
     def predict_points_std(
         self, points: np.ndarray, mac_indices: np.ndarray
@@ -290,101 +324,9 @@ class KnnRegressor(Predictor):
         """
         self._require_fitted()
         points, mac_indices = self._coerce_point_query(points, mac_indices)
-        assert self._train_macs is not None
-        out = np.empty(len(points))
-        for start in range(0, len(points), _GRID_CHUNK_ROWS):
-            sl = slice(start, min(start + _GRID_CHUNK_ROWS, len(points)))
-            base = _powered_distances(points[sl], self._train_positions, self.p)
-            global_idx, global_pow = self._global_candidates(base)
-            chunk_macs = mac_indices[sl]
-            chunk_out = out[sl]
-            for mac_index in np.unique(chunk_macs):
-                rows = chunk_macs == mac_index
-                chunk_out[rows] = self._std_for_mac(
-                    base[rows], global_idx[rows], global_pow[rows], int(mac_index)
-                )
-        return out
-
-    def uncertainty_grid(
-        self, points: np.ndarray, mac_indices: Sequence[int]
-    ) -> np.ndarray:
-        """One shared 3-D distance matrix serves every MAC's std field.
-
-        Same per-MAC numbers as stacked :meth:`predict_points_std`
-        calls (both run :meth:`_std_for_mac` over the same penalty
-        decomposition), but the powered distance matrix and its global
-        candidates — the expensive half of a full-vocabulary
-        uncertainty query, which the active planner issues every round
-        — are computed once per chunk instead of once per MAC.
-        """
-        self._require_fitted()
-        assert self._train_macs is not None
-        points, macs = self._coerce_grid_query(points, mac_indices)
-        out = np.empty((len(macs), len(points)))
-        for start in range(0, len(points), _GRID_CHUNK_ROWS):
-            sl = slice(start, min(start + _GRID_CHUNK_ROWS, len(points)))
-            base = _powered_distances(points[sl], self._train_positions, self.p)
-            global_idx, global_pow = self._global_candidates(base)
-            for row, mac_index in enumerate(macs):
-                out[row, sl] = self._std_for_mac(
-                    base, global_idx, global_pow, int(mac_index)
-                )
-        return out
-
-    def _std_for_mac(
-        self,
-        base: np.ndarray,
-        global_idx: np.ndarray,
-        global_pow: np.ndarray,
-        mac_index: int,
-    ) -> np.ndarray:
-        """Uncertainty for one MAC via the same decomposition as predict."""
-        assert self._train_macs is not None and self._train_targets is not None
-        n_train = len(self._train_targets)
-        penalty = 2.0 * self.onehot_scale**self.p
-        if penalty == 0.0 or global_pow.shape[1] >= n_train:
-            return self._std_dense(base, mac_index, penalty)
-        neighbor_idx, neighbor_pow, covered = self._candidate_neighbors_for_mac(
-            base, global_idx, global_pow, mac_index
-        )
-        out = self._std_from_neighbors(neighbor_idx, neighbor_pow)
-        if not covered.all():
-            uncovered = ~covered
-            out[uncovered] = self._std_dense(base[uncovered], mac_index, penalty)
-        return out
-
-    def _std_dense(
-        self, base: np.ndarray, mac_index: int, penalty: float
-    ) -> np.ndarray:
-        """Dense fallback: penalize every column, then top-k std."""
-        assert self._train_macs is not None
-        if penalty != 0.0:
-            powered = base + penalty * (self._train_macs != mac_index)
-        else:
-            powered = base
-        return self._neighbor_std(powered)
-
-    def _neighbor_std(self, powered: np.ndarray) -> np.ndarray:
-        """Disagreement + distance proxy over a penalized-distance block."""
-        assert self._train_targets is not None
-        k = min(self.n_neighbors, len(self._train_targets))
-        neighbor_idx, neighbor_pow = _stable_topk(powered, k)
-        return self._std_from_neighbors(neighbor_idx, neighbor_pow)
-
-    def _std_from_neighbors(
-        self, neighbor_idx: np.ndarray, neighbor_pow: np.ndarray
-    ) -> np.ndarray:
-        """Disagreement + distance proxy over selected neighbors."""
-        assert self._train_targets is not None
-        disagreement = self._train_targets[neighbor_idx].std(axis=1)
-        if self.p == 2.0:
-            neighbor_dist = np.sqrt(neighbor_pow)
-        else:
-            neighbor_dist = np.power(neighbor_pow, 1.0 / self.p)
-        mean_dist = neighbor_dist.mean(axis=1)
-        sigma = self._train_target_std
-        reach = sigma * mean_dist / (mean_dist + self.UNCERTAINTY_RANGE_M)
-        return np.sqrt(disagreement**2 + reach**2)
+        return self._neighbor_pass(
+            [self], points, mac_indices, KnnRegressor._std_from_neighbors
+        )[0]
 
     def predict_mac_grid(
         self, points: np.ndarray, mac_indices: Sequence[int]
@@ -397,8 +339,79 @@ class KnnRegressor(Predictor):
         each MAC then only refines candidates against its own (small)
         training partition.
         """
+        return self._grid_pass(points, mac_indices, KnnRegressor._weighted_average)
+
+    def uncertainty_grid(
+        self, points: np.ndarray, mac_indices: Sequence[int]
+    ) -> np.ndarray:
+        """One shared 3-D distance matrix serves every MAC's std field.
+
+        Same per-MAC numbers as stacked :meth:`predict_points_std`
+        calls (both reduce the same penalty-decomposition neighbors),
+        but the powered distance matrix and its global candidates — the
+        expensive half of a full-vocabulary uncertainty query, which the
+        active planner issues every round — are computed once per chunk
+        instead of once per MAC.
+        """
+        return self._grid_pass(points, mac_indices, KnnRegressor._std_from_neighbors)
+
+    # ------------------------------------------------------------------
+    def _neighbor_pass(
+        self,
+        models: Sequence["KnnRegressor"],
+        points: np.ndarray,
+        mac_indices: np.ndarray,
+        reduce: Callable[["KnnRegressor", np.ndarray, np.ndarray], np.ndarray],
+    ) -> np.ndarray:
+        """``(len(models), N)`` reductions of each model's exact neighbors.
+
+        ``models`` hold this model's training arrays and differ only in
+        hyper-parameters.  Each level of work runs once per group of
+        models agreeing on the parameters it reads: the powered 3-D
+        distances per ``p``, the global candidates per ``(p,
+        n_neighbors)``, the per-MAC neighbor search per ``(p,
+        n_neighbors, onehot_scale)``; only ``reduce(model, neighbor_pow,
+        neighbor_y)`` runs per model.  ``models=[self]`` is the
+        single-model query loop.
+        """
+        assert self._train_targets is not None
+        out = np.empty((len(models), len(points)))
+        members = list(enumerate(models))
+        for start in range(0, len(points), _GRID_CHUNK_ROWS):
+            sl = slice(start, min(start + _GRID_CHUNK_ROWS, len(points)))
+            chunk_macs = mac_indices[sl]
+            masks = [(int(mac), chunk_macs == mac) for mac in np.unique(chunk_macs)]
+            chunk_out = out[:, sl]
+            for same_p in _group_by(members, "p"):
+                base = _powered_distances(
+                    points[sl], self._train_positions, same_p[0][1].p
+                )
+                for same_k in _group_by(same_p, "n_neighbors"):
+                    global_idx, global_pow = same_k[0][1]._global_candidates(base)
+                    by_scale = _group_by(same_k, "onehot_scale")
+                    for mac_index, rows in masks:
+                        query = (base[rows], global_idx[rows], global_pow[rows])
+                        for same_scale in by_scale:
+                            lead = same_scale[0][1]
+                            neighbor_idx, neighbor_pow = lead._neighbors_for_mac(
+                                *query, mac_index
+                            )
+                            neighbor_y = self._train_targets[neighbor_idx]
+                            for row, model in same_scale:
+                                chunk_out[row, rows] = reduce(
+                                    model, neighbor_pow, neighbor_y
+                                )
+        return out
+
+    def _grid_pass(
+        self,
+        points: np.ndarray,
+        mac_indices: Sequence[int],
+        reduce: Callable[["KnnRegressor", np.ndarray, np.ndarray], np.ndarray],
+    ) -> np.ndarray:
+        """``(M, N)`` reductions of every MAC's neighbors over one point set."""
         self._require_fitted()
-        assert self._train_macs is not None
+        assert self._train_targets is not None
         points, macs = self._coerce_grid_query(points, mac_indices)
         out = np.empty((len(macs), len(points)))
         for start in range(0, len(points), _GRID_CHUNK_ROWS):
@@ -406,16 +419,43 @@ class KnnRegressor(Predictor):
             base = _powered_distances(points[sl], self._train_positions, self.p)
             global_idx, global_pow = self._global_candidates(base)
             for row, mac_index in enumerate(macs):
-                out[row, sl] = self._reduce_for_mac(
+                neighbor_idx, neighbor_pow = self._neighbors_for_mac(
                     base, global_idx, global_pow, int(mac_index)
+                )
+                out[row, sl] = reduce(
+                    self, neighbor_pow, self._train_targets[neighbor_idx]
                 )
         return out
 
-    # ------------------------------------------------------------------
     def _global_candidates(self, base: np.ndarray):
         """Top-2k xyz neighbors regardless of MAC, shared across MACs."""
         width = min(2 * self.n_neighbors, base.shape[1])
         return _stable_topk(base, width)
+
+    def _neighbors_for_mac(
+        self,
+        base: np.ndarray,
+        global_idx: np.ndarray,
+        global_pow: np.ndarray,
+        mac_index: int,
+    ):
+        """Exact penalized top-k ``(idx, pow)`` of every row for one MAC.
+
+        Rows the candidate search cannot cover fall back to the dense
+        search over every training column.
+        """
+        assert self._train_targets is not None
+        penalty = 2.0 * self.onehot_scale**self.p
+        if penalty == 0.0 or global_pow.shape[1] >= len(self._train_targets):
+            return self._dense_neighbors(base, mac_index, penalty)
+        neighbor_idx, neighbor_pow, covered = self._candidate_neighbors_for_mac(
+            base, global_idx, global_pow, mac_index
+        )
+        if not covered.all():
+            rows = ~covered
+            fallback = self._dense_neighbors(base[rows], mac_index, penalty)
+            neighbor_idx[rows], neighbor_pow[rows] = fallback
+        return neighbor_idx, neighbor_pow
 
     def _candidate_neighbors_for_mac(
         self,
@@ -460,49 +500,14 @@ class KnnRegressor(Predictor):
         neighbor_idx = np.take_along_axis(cand_idx, pick, axis=1)
         return neighbor_idx, neighbor_pow, covered
 
-    def _reduce_for_mac(
-        self,
-        base: np.ndarray,
-        global_idx: np.ndarray,
-        global_pow: np.ndarray,
-        mac_index: int,
-    ) -> np.ndarray:
-        """Exact top-k reduction under the penalty decomposition."""
-        assert self._train_targets is not None
-        n_train = len(self._train_targets)
-        penalty = 2.0 * self.onehot_scale**self.p
-        if penalty == 0.0 or global_pow.shape[1] >= n_train:
-            return self._reduce_dense(base, mac_index, penalty)
-        neighbor_idx, neighbor_pow, covered = self._candidate_neighbors_for_mac(
-            base, global_idx, global_pow, mac_index
-        )
-        out = self._weighted_average(
-            neighbor_pow, self._train_targets[neighbor_idx]
-        )
-        if not covered.all():
-            uncovered = ~covered
-            out[uncovered] = self._reduce_dense(base[uncovered], mac_index, penalty)
-        return out
-
-    def _reduce_dense(
-        self, base: np.ndarray, mac_index: int, penalty: float
-    ) -> np.ndarray:
+    def _dense_neighbors(self, base: np.ndarray, mac_index: int, penalty: float):
         """Dense fallback: penalize every column, then top-k."""
-        assert self._train_macs is not None
+        assert self._train_macs is not None and self._train_targets is not None
         if penalty != 0.0:
             powered = base + penalty * (self._train_macs != mac_index)
         else:
             powered = base
-        return self._reduce_neighbors(powered)
-
-    def _reduce_neighbors(self, powered: np.ndarray) -> np.ndarray:
-        """Top-k selection + weighting on a powered-distance matrix."""
-        assert self._train_targets is not None
-        k = min(self.n_neighbors, len(self._train_targets))
-        neighbor_idx, neighbor_pow = _stable_topk(powered, k)
-        return self._weighted_average(
-            neighbor_pow, self._train_targets[neighbor_idx]
-        )
+        return _stable_topk(powered, min(self.n_neighbors, len(self._train_targets)))
 
     def _weighted_average(
         self, neighbor_pow: np.ndarray, neighbor_y: np.ndarray
@@ -515,6 +520,20 @@ class KnnRegressor(Predictor):
         else:
             neighbor_dist = np.power(neighbor_pow, 1.0 / self.p)
         return _inverse_distance_average(neighbor_dist, neighbor_y)
+
+    def _std_from_neighbors(
+        self, neighbor_pow: np.ndarray, neighbor_y: np.ndarray
+    ) -> np.ndarray:
+        """Disagreement + distance proxy over selected neighbors."""
+        disagreement = neighbor_y.std(axis=1)
+        if self.p == 2.0:
+            neighbor_dist = np.sqrt(neighbor_pow)
+        else:
+            neighbor_dist = np.power(neighbor_pow, 1.0 / self.p)
+        mean_dist = neighbor_dist.mean(axis=1)
+        sigma = self._train_target_std
+        reach = sigma * mean_dist / (mean_dist + self.UNCERTAINTY_RANGE_M)
+        return np.sqrt(disagreement**2 + reach**2)
 
     # ------------------------------------------------------------------
     def _legacy_features(self) -> np.ndarray:

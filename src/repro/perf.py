@@ -2,8 +2,8 @@
 
 The build pipeline (:func:`repro.serve.jobs.run_job`) threads a
 :class:`StageTimer` through its stages — scenario construction, the
-campaign sim, preprocessing, the model fit, the REM tensor, the
-artifact save — and records the per-stage wall seconds into the
+campaign sim, preprocessing, the model fit, the held-out score, the
+REM tensor, the artifact save — and records the per-stage wall seconds into the
 artifact's provenance sidecar (``provenance["stage_wall_s"]``).
 ``repro report`` aggregates them across a sweep, so a perf regression
 is attributable to a stage instead of drowning in one end-to-end

@@ -244,7 +244,14 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": {"code": code, "message": message}})
 
     def _read_json(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        if not (header.isascii() and header.isdigit()):
+            # The body's extent is unknown, so the connection cannot
+            # carry another request (and rfile.read(-1) would block
+            # until the client closes it).
+            self.close_connection = True
+            raise _MalformedBody(f"invalid Content-Length {header!r}")
+        length = int(header)
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise _MalformedBody("empty request body")

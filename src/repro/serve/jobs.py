@@ -92,8 +92,8 @@ def run_job(spec: RemJobSpec, store: Optional[ArtifactStore] = None) -> RemArtif
             "resolution_m": spec.resolution_m,
             "wall_time_s": wall_s,
             # Stage breakdown (repro.perf.StageTimer): scenario /
-            # campaign / preprocess / fit / rem (+ uncertainty), so
-            # `repro report` can attribute build-time regressions.
+            # campaign / preprocess / fit / score / rem (+ uncertainty),
+            # so `repro report` can attribute build-time regressions.
             "stage_wall_s": {
                 stage: round(seconds, 6)
                 for stage, seconds in timer.wall_s().items()

@@ -3,9 +3,11 @@
 import pytest
 
 from repro import ToolchainConfig, generate_rem
+from repro.serve import RemJobSpec, run_job
 
-#: The full grid search takes ~30 s; run via `pytest -m slow`.
-pytestmark = pytest.mark.slow
+#: The grid search shares one k-NN pass per fold across its 24
+#: configurations, so a tuned build takes seconds and runs in the fast
+#: tier.
 
 
 @pytest.fixture(scope="module")
@@ -44,3 +46,18 @@ class TestTunedPipeline:
         ranking = tuned_result.search.ranking()
         scores = [cv.mean_rmse for cv in ranking]
         assert scores == sorted(scores)
+
+
+def test_default_spec_pins_the_tuned_build():
+    # `repro jobs run` with the default spec: the §III-B search over
+    # DEFAULT_KNN_GRID picks this winner and held-out error.
+    artifact = run_job(RemJobSpec())
+    assert artifact.result.search.best_params == {
+        "n_neighbors": 8,
+        "weights": "distance",
+        "p": 2.0,
+        "onehot_scale": 3.0,
+    }
+    assert artifact.provenance["test_rmse_dbm"] == pytest.approx(
+        3.7876941658324617, abs=1e-9
+    )

@@ -1,6 +1,7 @@
 """The JSON/HTTP front end: routes, payloads, errors, job submission."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -173,6 +174,46 @@ class TestQueries:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
         assert error_envelope(excinfo)["code"] == "malformed_json"
+
+    @pytest.mark.parametrize("length", ["abc", "1.5", "2x", "1_0", "+2", "0x2"])
+    def test_non_integer_content_length_400(self, server, artifacts, length):
+        status, head, error = raw_post(
+            server, f"/v1/artifacts/{artifacts[0].digest}/query", length
+        )
+        assert status == 400
+        assert error["code"] == "malformed_json"
+        assert "Content-Length" in error["message"]
+        assert b"Connection: close" in head
+
+    def test_negative_content_length_400_without_hanging(self, server, artifacts):
+        # Keep-alive request whose client never closes its side: a read
+        # of the "rest of the stream" would block until the timeout.
+        status, head, error = raw_post(
+            server, f"/v1/artifacts/{artifacts[0].digest}/query", "-1"
+        )
+        assert status == 400
+        assert error["code"] == "malformed_json"
+        assert b"Connection: close" in head
+
+
+def raw_post(server, path, content_length, body=b'{"type": "query"}'):
+    """POST over a raw keep-alive socket with a verbatim Content-Length.
+
+    Returns ``(status, head bytes, error dict)``; the server must close
+    the connection after answering, so reading runs to EOF.
+    """
+    host, port = server.server_address[:2]
+    request = (
+        f"POST {path} HTTP/1.1\r\nHost: {host}\r\nConnection: keep-alive\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    ).encode("latin-1")
+    with socket.create_connection((host, port), timeout=5) as sock:
+        sock.sendall(request + body)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, payload = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), head, json.loads(payload)["error"]
 
 
 class TestBatch:

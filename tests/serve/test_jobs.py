@@ -37,6 +37,14 @@ class TestRunJob:
         assert built.provenance["wall_time_s"] > 0
         assert built.result is not None  # fresh build keeps the toolchain
 
+    def test_stage_walls_cover_the_build(self, built):
+        stages = built.provenance["stage_wall_s"]
+        # The held-out scoring has its own span rather than falling
+        # between "fit" and "rem".
+        assert "score" in stages
+        wall = built.provenance["wall_time_s"]
+        assert sum(stages.values()) == pytest.approx(wall, rel=0.05)
+
     def test_same_spec_same_seed_same_content(self, built, tiny_spec):
         again = run_job(tiny_spec)
         assert again.digest == built.digest
