@@ -156,11 +156,12 @@ def stage_stats(
 
     Sums the ``provenance["stage_wall_s"]`` breakdowns that
     :func:`repro.serve.jobs.run_job` records (scenario / campaign /
-    preprocess / fit / score / rem / uncertainty, via
-    :class:`repro.perf.StageTimer`) into ``{stage: {total_s, mean_s,
-    n}}``, sorted by descending total.  Artifacts built before the
-    breakdown existed are skipped; an empty dict means no record
-    carries one.
+    preprocess / fit / score / rem, via :class:`repro.perf.StageTimer`;
+    ``rem`` covers the REM and its uncertainty layer, rendered in one
+    pass) into ``{stage: {total_s, mean_s, n}}``, sorted by descending
+    total.  Artifacts built before the breakdown existed are skipped
+    (and older ones may carry a separate ``uncertainty`` stage); an
+    empty dict means no record carries one.
     """
     totals: Dict[str, List[float]] = {}
     for record in records:

@@ -27,7 +27,13 @@ from .preprocessing import (
     preprocess,
     train_test_split,
 )
-from .rem import RadioEnvironmentMap, RemGrid, build_rem, build_uncertainty_rem
+from .rem import (
+    RadioEnvironmentMap,
+    RemGrid,
+    build_rem,
+    build_rem_layers,
+    build_uncertainty_rem,
+)
 
 __all__ = [
     "predictors",
@@ -56,5 +62,6 @@ __all__ = [
     "RadioEnvironmentMap",
     "RemGrid",
     "build_rem",
+    "build_rem_layers",
     "build_uncertainty_rem",
 ]

@@ -24,7 +24,7 @@ from .predictors import (
     rmse,
 )
 from .preprocessing import PreprocessConfig, PreprocessResult, preprocess
-from .rem import RadioEnvironmentMap, build_rem
+from .rem import RadioEnvironmentMap, build_rem, build_rem_layers
 
 __all__ = ["ToolchainConfig", "ToolchainResult", "generate_rem"]
 
@@ -60,6 +60,8 @@ class ToolchainResult:
     test_rmse_dbm: float
     rem: RadioEnvironmentMap
     search: Optional[GridSearchResult] = None
+    #: The REM's uncertainty (std, dB) map when the run asked for it.
+    uncertainty: Optional[RadioEnvironmentMap] = None
 
     def summary(self) -> Dict[str, float]:
         """Headline numbers of the run."""
@@ -127,6 +129,7 @@ def _run_toolchain(
     predictor: Optional[Predictor],
     config: ToolchainConfig,
     timer: Optional[StageTimer] = None,
+    with_uncertainty: bool = False,
 ) -> ToolchainResult:
     """The toolchain implementation behind :func:`generate_rem`/``run_job``.
 
@@ -137,6 +140,8 @@ def _run_toolchain(
     ``(scenario, seed, acquisition)`` triple fly once and reuse the
     result (set ``REPRO_SCENARIO_CACHE=0`` to disable).  An optional
     :class:`repro.perf.StageTimer` receives per-stage wall spans.
+    ``with_uncertainty`` renders the uncertainty map in the same
+    lattice pass as the REM (both time under the ``rem`` span).
     """
     cache = default_cache() if scenario is None and cache_enabled() else None
     if scenario is None:
@@ -179,13 +184,13 @@ def _run_toolchain(
 
     with maybe_span(timer, "score"):
         test_rmse = rmse(prep.test.rssi_dbm, predictor.predict(prep.test))
+    uncertainty: Optional[RadioEnvironmentMap] = None
+    lattice = (prep.dataset, scenario.flight_volume, config.rem_resolution_m)
     with maybe_span(timer, "rem"):
-        rem = build_rem(
-            predictor,
-            prep.dataset,
-            scenario.flight_volume,
-            resolution_m=config.rem_resolution_m,
-        )
+        if with_uncertainty:
+            rem, uncertainty = build_rem_layers(predictor, *lattice)
+        else:
+            rem = build_rem(predictor, *lattice)
     return ToolchainResult(
         scenario=scenario,
         campaign=campaign,
@@ -194,4 +199,5 @@ def _run_toolchain(
         test_rmse_dbm=test_rmse,
         rem=rem,
         search=search,
+        uncertainty=uncertainty,
     )

@@ -31,6 +31,11 @@ fallback — a distance-to-nearest-same-MAC-sample proxy over the train
 support recorded at fit time — so *any* fitted predictor can steer an
 active campaign.
 
+:meth:`Predictor.grid_layers` renders both ``(M, N)`` layers together
+(the REM build and its uncertainty map).  The base default makes the
+two grid calls; the k-NN and IDW estimators override it with one pass
+that reduces each MAC's neighbor or distance work into both fields.
+
 Finally, the contract carries an **incremental-fit** channel that the
 online builder drives: estimators that set
 :attr:`Predictor.supports_partial_fit` accept
@@ -233,6 +238,21 @@ class Predictor(abc.ABC):
                 points, np.full(n, int(mac_index), dtype=int)
             )
         return out
+
+    def grid_layers(
+        self, points: np.ndarray, mac_indices: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """RSS and std of one point set for every MAC: ``(rss, std)``.
+
+        Both arrays are ``(M, N)`` and equal :meth:`predict_mac_grid`
+        and :meth:`uncertainty_grid` bit for bit.  The default makes
+        those two calls; estimators whose layers share their per-MAC
+        work override it with one pass.
+        """
+        return (
+            self.predict_mac_grid(points, mac_indices),
+            self.uncertainty_grid(points, mac_indices),
+        )
 
     def _distance_std_proxy(
         self, points: np.ndarray, mac_indices: np.ndarray

@@ -5,11 +5,17 @@ literature between the trivial mean and kriging: every training sample
 of the same AP contributes with weight ``1/d^p``.  Included for the
 ablation suite — it brackets the k-NN family from the "use everything"
 side (k-NN with k=∞ and distance weights is IDW with p=1).
+
+The lattice methods (:meth:`IdwRegressor.predict_mac_grid`,
+:meth:`IdwRegressor.uncertainty_grid` and
+:meth:`IdwRegressor.grid_layers`) share one per-MAC loop: each MAC's
+query-to-sample distance matrix is computed once and feeds both the
+Shepard estimate and the nearest-sample distance of the std proxy.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,7 +120,7 @@ class IdwRegressor(Predictor):
                 continue
             positions, values = self._per_mac[key]
             mask = mac_indices == mac_index
-            out[mask] = self._shepard(positions, values, points[mask])
+            out[mask] = self._shepard(_distances(points[mask], positions), values)
         return out
 
     def predict_points_std(
@@ -136,21 +142,80 @@ class IdwRegressor(Predictor):
             positions, values = self._per_mac[key]
             mask = mac_indices == mac_index
             nearest = nearest_distances(points[mask], positions)
-            if len(values) > 1:
-                sigma = max(float(values.std()), 1e-6)
-            else:
-                sigma = self._train_target_std
-            out[mask] = sigma * nearest / (nearest + self.UNCERTAINTY_RANGE_M)
+            out[mask] = self._std_proxy(nearest, values)
         return out
 
-    # ------------------------------------------------------------------
-    def _shepard(
-        self, positions: np.ndarray, values: np.ndarray, queries: np.ndarray
+    def predict_mac_grid(
+        self, points: np.ndarray, mac_indices: Sequence[int]
     ) -> np.ndarray:
-        distances = np.linalg.norm(
-            queries[:, None, :] - positions[None, :, :], axis=2
-        )
-        estimates = np.empty(len(queries))
+        """The RSS layer of :meth:`_grid_pass`."""
+        rss, _ = self._grid_pass(points, mac_indices, std=False)
+        return rss
+
+    def uncertainty_grid(
+        self, points: np.ndarray, mac_indices: Sequence[int]
+    ) -> np.ndarray:
+        """The std layer of :meth:`_grid_pass`."""
+        _, std = self._grid_pass(points, mac_indices, rss=False)
+        return std
+
+    def grid_layers(
+        self, points: np.ndarray, mac_indices: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Both layers from one distance matrix per MAC."""
+        return self._grid_pass(points, mac_indices)
+
+    # ------------------------------------------------------------------
+    def _grid_pass(
+        self,
+        points: np.ndarray,
+        mac_indices: Sequence[int],
+        rss: bool = True,
+        std: bool = True,
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """``(rss, std)`` ``(M, N)`` fields; a layer not asked for is ``None``.
+
+        Each MAC's distance matrix is computed unchunked, exactly as
+        :meth:`predict_points` computes it, so every row equals the
+        point methods on that MAC bit for bit.  MACs absent from
+        training get the global mean and the training target spread.
+        """
+        self._require_fitted()
+        points, macs = self._coerce_grid_query(points, mac_indices)
+        shape = (len(macs), len(points))
+        rss_out: Optional[np.ndarray] = np.empty(shape) if rss else None
+        std_out: Optional[np.ndarray] = np.empty(shape) if std else None
+        for row, mac_index in enumerate(macs):
+            cloud = self._per_mac.get(int(mac_index))
+            if cloud is None:
+                if rss_out is not None:
+                    rss_out[row] = self._global_mean
+                if std_out is not None:
+                    std_out[row] = self._train_target_std
+                continue
+            positions, values = cloud
+            distances = _distances(points, positions)
+            if rss_out is not None:
+                rss_out[row] = self._shepard(distances, values)
+            if std_out is not None:
+                std_out[row] = self._std_proxy(distances.min(axis=1), values)
+        return rss_out, std_out
+
+    def _std_proxy(self, nearest: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Saturating nearest-sample distance proxy at the MAC's spread.
+
+        A single-sample MAC has no spread of its own and falls back to
+        the training target spread.
+        """
+        if len(values) > 1:
+            sigma = max(float(values.std()), 1e-6)
+        else:
+            sigma = self._train_target_std
+        return sigma * nearest / (nearest + self.UNCERTAINTY_RANGE_M)
+
+    def _shepard(self, distances: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Shepard estimates from a ``(queries, samples)`` distance matrix."""
+        estimates = np.empty(len(distances))
         exact = distances.min(axis=1) < self.epsilon_m
         if exact.any():
             matches = distances[exact] < self.epsilon_m
@@ -162,3 +227,8 @@ class IdwRegressor(Predictor):
             weights = 1.0 / np.power(distances[inexact], self.power)
             estimates[inexact] = (weights @ values) / weights.sum(axis=1)
         return estimates
+
+
+def _distances(queries: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """``(queries, samples)`` Euclidean distances, unchunked."""
+    return np.linalg.norm(queries[:, None, :] - positions[None, :, :], axis=2)

@@ -339,7 +339,9 @@ class KnnRegressor(Predictor):
         each MAC then only refines candidates against its own (small)
         training partition.
         """
-        return self._grid_pass(points, mac_indices, KnnRegressor._weighted_average)
+        return self._grid_pass(
+            points, mac_indices, (KnnRegressor._weighted_average,)
+        )[0]
 
     def uncertainty_grid(
         self, points: np.ndarray, mac_indices: Sequence[int]
@@ -353,7 +355,25 @@ class KnnRegressor(Predictor):
         active planner issues every round — are computed once per chunk
         instead of once per MAC.
         """
-        return self._grid_pass(points, mac_indices, KnnRegressor._std_from_neighbors)
+        return self._grid_pass(
+            points, mac_indices, (KnnRegressor._std_from_neighbors,)
+        )[0]
+
+    def grid_layers(
+        self, points: np.ndarray, mac_indices: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """RSS and std fields from one neighbor search per MAC and chunk.
+
+        Both layers reduce the same exact neighbors, so each equals its
+        one-layer grid method bit for bit while the distance matrix,
+        the global candidates and the per-MAC search run once.
+        """
+        rss, std = self._grid_pass(
+            points,
+            mac_indices,
+            (KnnRegressor._weighted_average, KnnRegressor._std_from_neighbors),
+        )
+        return rss, std
 
     # ------------------------------------------------------------------
     def _neighbor_pass(
@@ -407,13 +427,15 @@ class KnnRegressor(Predictor):
         self,
         points: np.ndarray,
         mac_indices: Sequence[int],
-        reduce: Callable[["KnnRegressor", np.ndarray, np.ndarray], np.ndarray],
-    ) -> np.ndarray:
-        """``(M, N)`` reductions of every MAC's neighbors over one point set."""
+        reducers: Sequence[
+            Callable[["KnnRegressor", np.ndarray, np.ndarray], np.ndarray]
+        ],
+    ) -> Tuple[np.ndarray, ...]:
+        """One ``(M, N)`` field per reducer, from one neighbor search per MAC."""
         self._require_fitted()
         assert self._train_targets is not None
         points, macs = self._coerce_grid_query(points, mac_indices)
-        out = np.empty((len(macs), len(points)))
+        outs = tuple(np.empty((len(macs), len(points))) for _ in reducers)
         for start in range(0, len(points), _GRID_CHUNK_ROWS):
             sl = slice(start, min(start + _GRID_CHUNK_ROWS, len(points)))
             base = _powered_distances(points[sl], self._train_positions, self.p)
@@ -422,10 +444,15 @@ class KnnRegressor(Predictor):
                 neighbor_idx, neighbor_pow = self._neighbors_for_mac(
                     base, global_idx, global_pow, int(mac_index)
                 )
-                out[row, sl] = reduce(
-                    self, neighbor_pow, self._train_targets[neighbor_idx]
-                )
-        return out
+                neighbor_y = self._train_targets[neighbor_idx]
+                for out, reduce in zip(outs, reducers):
+                    out[row, sl] = reduce(self, neighbor_pow, neighbor_y)
+                # Freed before the next MAC's search: kept alive across
+                # that search's large temporaries, it changed glibc's
+                # heap layout enough to leave 20-50 MB of freed heap
+                # resident in serving workers forked after a build.
+                del neighbor_y
+        return outs
 
     def _global_candidates(self, base: np.ndarray):
         """Top-2k xyz neighbors regardless of MAC, shared across MACs."""

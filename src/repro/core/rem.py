@@ -16,7 +16,8 @@ nz)`` tensor, so every consumer-facing operation — :meth:`query_many`,
 is a vectorized reduction over that tensor rather than a per-point
 Python loop.  :func:`build_rem` fills the tensor with **one** batched
 predictor call (:meth:`Predictor.predict_mac_grid`) instead of one
-full lattice pass per MAC.
+full lattice pass per MAC; :func:`build_rem_layers` fills the REM and
+its uncertainty map from one :meth:`Predictor.grid_layers` pass.
 
 Maps serialize to plain dicts (JSON-compatible) for archival.
 """
@@ -24,7 +25,7 @@ Maps serialize to plain dicts (JSON-compatible) for archival.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,7 +33,13 @@ from ..radio.geometry import Cuboid
 from .dataset import REMDataset
 from .predictors.base import Predictor
 
-__all__ = ["RemGrid", "RadioEnvironmentMap", "build_rem", "build_uncertainty_rem"]
+__all__ = [
+    "RemGrid",
+    "RadioEnvironmentMap",
+    "build_rem",
+    "build_rem_layers",
+    "build_uncertainty_rem",
+]
 
 
 @dataclass(frozen=True)
@@ -504,21 +511,15 @@ def build_rem(
     shared-work fast path (the one-hot k-NN computes a single 3-D
     distance matrix for every MAC).
     """
-    grid = RemGrid(volume=volume, resolution_m=resolution_m)
-    rem = RadioEnvironmentMap(grid, train.mac_vocabulary)
-    selected = tuple(macs) if macs is not None else train.mac_vocabulary
-    mac_to_index = {mac: i for i, mac in enumerate(train.mac_vocabulary)}
-    for mac in selected:
-        if mac not in mac_to_index:
-            raise KeyError(f"MAC {mac!r} not in training vocabulary")
-    indices = np.array([mac_to_index[mac] for mac in selected], dtype=int)
-    # Legacy subclasses fitted before the batched API recorded no
-    # vocabulary; bind the training one so the base shims build
-    # correctly-shaped dataset views.
-    if hasattr(predictor, "bind_vocabulary"):
-        predictor.bind_vocabulary(train.mac_vocabulary)
-    fields = predictor.predict_mac_grid(grid.points(), indices)
-    rem.set_fields(selected, fields.reshape((len(selected),) + grid.shape))
+    (rem,) = _build_maps(
+        1,
+        lambda points, indices: (predictor.predict_mac_grid(points, indices),),
+        predictor,
+        train,
+        volume,
+        resolution_m,
+        macs,
+    )
     return rem
 
 
@@ -537,17 +538,70 @@ def build_uncertainty_rem(
     planner reads this map to decide where the fleet flies next; its
     ``dark_points`` / ``coverage`` reductions double as "where is the
     map still unreliable" queries (with an uncertainty threshold).
+    Callers that need the RSS map too should use
+    :func:`build_rem_layers`, which renders both in one pass.
     """
+    (uncertainty,) = _build_maps(
+        1,
+        lambda points, indices: (predictor.uncertainty_grid(points, indices),),
+        predictor,
+        train,
+        volume,
+        resolution_m,
+        macs,
+    )
+    return uncertainty
+
+
+def build_rem_layers(
+    predictor: Predictor,
+    train: REMDataset,
+    volume: Cuboid,
+    resolution_m: float = 0.25,
+    macs: Optional[Sequence[str]] = None,
+) -> Tuple[RadioEnvironmentMap, RadioEnvironmentMap]:
+    """The REM and its uncertainty map from one lattice pass.
+
+    Equals ``(build_rem(...), build_uncertainty_rem(...))`` bit for bit;
+    the fields come from one :meth:`Predictor.grid_layers` call, which
+    the k-NN and IDW estimators answer with one neighbor or distance
+    search per MAC for both layers.
+    """
+    rem, uncertainty = _build_maps(
+        2, predictor.grid_layers, predictor, train, volume, resolution_m, macs
+    )
+    return rem, uncertainty
+
+
+def _build_maps(
+    layers: int,
+    evaluate: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, ...]],
+    predictor: Predictor,
+    train: REMDataset,
+    volume: Cuboid,
+    resolution_m: float,
+    macs: Optional[Sequence[str]],
+) -> Tuple[RadioEnvironmentMap, ...]:
+    """``layers`` maps, filled from the ``(M, N)`` fields of ``evaluate``."""
     grid = RemGrid(volume=volume, resolution_m=resolution_m)
-    rem = RadioEnvironmentMap(grid, train.mac_vocabulary)
     selected = tuple(macs) if macs is not None else train.mac_vocabulary
     mac_to_index = {mac: i for i, mac in enumerate(train.mac_vocabulary)}
     for mac in selected:
         if mac not in mac_to_index:
             raise KeyError(f"MAC {mac!r} not in training vocabulary")
     indices = np.array([mac_to_index[mac] for mac in selected], dtype=int)
+    # Legacy subclasses fitted before the batched API recorded no
+    # vocabulary; bind the training one so the base shims build
+    # correctly-shaped dataset views.
     if hasattr(predictor, "bind_vocabulary"):
         predictor.bind_vocabulary(train.mac_vocabulary)
-    fields = predictor.uncertainty_grid(grid.points(), indices)
-    rem.set_fields(selected, fields.reshape((len(selected),) + grid.shape))
-    return rem
+    # The maps are allocated before the lattice pass's large transient
+    # arrays: allocated after them, they changed glibc's heap layout
+    # enough to leave 20-50 MB of freed heap resident in serving
+    # workers forked after a build.
+    maps = tuple(
+        RadioEnvironmentMap(grid, train.mac_vocabulary) for _ in range(layers)
+    )
+    for rem, fields in zip(maps, evaluate(grid.points(), indices)):
+        rem.set_fields(selected, fields.reshape((len(selected),) + grid.shape))
+    return maps

@@ -18,10 +18,13 @@ third-party dependencies) exposing the serving API:
   ``{"responses": [...]}`` in order — the cross-request batch shape.
 
 Errors share one envelope: ``{"error": {"code": <slug>, "message":
-<human>}}`` with 400 ``malformed_json`` (body empty or not JSON), 404
-``not_found`` (unknown digest or route), 422 ``invalid_spec``
-(well-formed JSON describing an invalid spec/request) and 500
-``internal`` (anything else).
+<human>}}`` with 400 ``malformed_json`` (body empty or not JSON), 413
+``payload_too_large`` (a ``Content-Length`` above
+:data:`MAX_BODY_BYTES`, answered without reading the body and with
+``Connection: close``, or a ``/v1/batch`` array of more than
+:data:`MAX_BATCH_ITEMS` requests), 404 ``not_found`` (unknown digest or
+route), 422 ``invalid_spec`` (well-formed JSON describing an invalid
+spec/request) and 500 ``internal`` (anything else).
 
 The handler keeps connections alive (HTTP/1.1), disables Nagle's
 algorithm and buffers each response into a single ``send`` — without
@@ -47,6 +50,12 @@ from .service import RemService, request_from_dict, requests_from_list
 from .spec import RemJobSpec
 
 __all__ = ["RemHttpServer", "create_server"]
+
+#: Largest request body accepted.  The largest legitimate requests
+#: (a 64-point query, a 16-item batch) are a few KiB.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Most requests one ``/v1/batch`` array may carry.
+MAX_BATCH_ITEMS = 1024
 
 
 class RemHttpServer(ThreadingHTTPServer):
@@ -112,6 +121,7 @@ _PHRASES = {
     201: "Created",
     400: "Bad Request",
     404: "Not Found",
+    413: "Payload Too Large",
     414: "URI Too Long",
     422: "Unprocessable Entity",
     500: "Internal Server Error",
@@ -124,6 +134,10 @@ class _MalformedBody(ValueError):
     Distinguishes transport-level malformation (400) from a
     well-formed JSON payload describing an invalid spec/request (422).
     """
+
+
+class _PayloadTooLarge(Exception):
+    """A request over the body-size or batch-size bound (413)."""
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -238,8 +252,9 @@ class _Handler(BaseHTTPRequestHandler):
         """The error envelope every endpoint shares.
 
         Body shape: ``{"error": {"code": <slug>, "message": <human>}}``
-        with ``code`` one of ``malformed_json`` (400), ``invalid_spec``
-        (422), ``not_found`` (404) or ``internal`` (500).
+        with ``code`` one of ``malformed_json`` (400),
+        ``payload_too_large`` (413), ``invalid_spec`` (422),
+        ``not_found`` (404) or ``internal`` (500).
         """
         self._send_json(status, {"error": {"code": code, "message": message}})
 
@@ -252,6 +267,13 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
             raise _MalformedBody(f"invalid Content-Length {header!r}")
         length = int(header)
+        if length > MAX_BODY_BYTES:
+            # The body is left unread, so the connection cannot carry
+            # another request either.
+            self.close_connection = True
+            raise _PayloadTooLarge(
+                f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise _MalformedBody("empty request body")
@@ -292,7 +314,12 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(200 if artifact.cache_hit else 201, record)
                 return
             if self.path == "/v1/batch":
-                requests = requests_from_list(self._read_json())
+                items = self._read_json()
+                if isinstance(items, list) and len(items) > MAX_BATCH_ITEMS:
+                    raise _PayloadTooLarge(
+                        f"batch of {len(items)} requests exceeds {MAX_BATCH_ITEMS}"
+                    )
+                requests = requests_from_list(items)
                 responses = service.handle_many(requests)
                 body = (
                     '{"responses": ['
@@ -314,6 +341,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_error(404, "not_found", f"no route {self.path!r}")
         except _MalformedBody as exc:
             self._send_error(400, "malformed_json", str(exc))
+        except _PayloadTooLarge as exc:
+            self._send_error(413, "payload_too_large", str(exc))
         except KeyError as exc:
             self._send_error(404, "not_found", str(exc).strip('"'))
         except (ValueError, TypeError) as exc:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.serve import ArtifactStore, RemService, create_server
+from repro.serve.http import MAX_BATCH_ITEMS, MAX_BODY_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +195,39 @@ class TestQueries:
         assert status == 400
         assert error["code"] == "malformed_json"
         assert b"Connection: close" in head
+
+
+    def test_oversized_content_length_413_without_reading(self, server, artifacts):
+        # The declared body is never sent: the server must answer from
+        # the header alone and close the connection.
+        status, head, error = raw_post(
+            server,
+            f"/v1/artifacts/{artifacts[0].digest}/query",
+            str(MAX_BODY_BYTES + 1),
+        )
+        assert status == 413
+        assert error["code"] == "payload_too_large"
+        assert str(MAX_BODY_BYTES) in error["message"]
+        assert b"Connection: close" in head
+
+    def test_oversized_batch_413(self, server, artifacts):
+        item = {"digest": artifacts[0].digest, "type": "coverage"}
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(server, "/v1/batch", [item] * (MAX_BATCH_ITEMS + 1))
+        assert excinfo.value.code == 413
+        error = error_envelope(excinfo)
+        assert error["code"] == "payload_too_large"
+        assert str(MAX_BATCH_ITEMS) in error["message"]
+
+    def test_batch_at_the_bound_is_served(self, server, artifacts):
+        item = {
+            "digest": artifacts[0].digest,
+            "type": "query",
+            "points": [[1.0, 1.0, 1.0]],
+        }
+        status, payload = post(server, "/v1/batch", [item] * MAX_BATCH_ITEMS)
+        assert status == 200
+        assert len(payload["responses"]) == MAX_BATCH_ITEMS
 
 
 def raw_post(server, path, content_length, body=b'{"type": "query"}'):

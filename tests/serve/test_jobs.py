@@ -42,6 +42,9 @@ class TestRunJob:
         # The held-out scoring has its own span rather than falling
         # between "fit" and "rem".
         assert "score" in stages
+        # Both lattice layers render in one pass, timed under "rem".
+        assert "rem" in stages
+        assert "uncertainty" not in stages
         wall = built.provenance["wall_time_s"]
         assert sum(stages.values()) == pytest.approx(wall, rel=0.05)
 
