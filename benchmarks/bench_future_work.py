@@ -1,58 +1,15 @@
-"""Future-work extensions (§IV): Lighthouse, REM density, fleet scaling.
+"""Future-work extensions (§IV): REM density, fleet scaling.
 
 Not paper figures — these quantify the directions the paper names:
-Lighthouse positioning replacing UWB, the fundamental density limit of
-3-D REMs, and fleet partitioning strategies.
+the fundamental density limit of 3-D REMs and fleet partitioning
+strategies.
 """
 
 from __future__ import annotations
 
-import numpy as np
 from repro.analysis import table
 from repro.core import density_sweep
 from repro.station import evaluate_partition, partition_waypoints, waypoint_grid
-from repro.uwb import (
-    LocalizationMode,
-    corner_layout,
-    evaluate_hovering_accuracy,
-    evaluate_lighthouse_hovering,
-)
-
-
-def test_lighthouse_vs_uwb(benchmark, demo_scenario):
-    """§IV: 'comparable precision, while requiring less anchors'."""
-    volume = demo_scenario.flight_volume
-    hover = (1.87, 1.6, 1.0)
-    rng = np.random.default_rng(9)
-
-    lighthouse_error = benchmark.pedantic(
-        lambda: evaluate_lighthouse_hovering(volume, hover, np.random.default_rng(9)),
-        rounds=1,
-        iterations=1,
-    )
-    layout = corner_layout(volume)
-    uwb6 = evaluate_hovering_accuracy(
-        layout.subset(6), LocalizationMode.TWR, hover, rng
-    )
-    uwb8 = evaluate_hovering_accuracy(layout, LocalizationMode.TDOA, hover, rng)
-
-    print()
-    print("=== localization backends (hovering mean error) ===")
-    print(
-        table(
-            ["backend", "infrastructure", "mean error (cm)"],
-            [
-                [
-                    "Lighthouse (optical)",
-                    "2 base stations",
-                    f"{lighthouse_error*100:.1f}",
-                ],
-                ["UWB TWR", "6 anchors", f"{uwb6.mean_error_m*100:.1f}"],
-                ["UWB TDoA", "8 anchors", f"{uwb8.mean_error_m*100:.1f}"],
-            ],
-        )
-    )
-    assert lighthouse_error < uwb6.mean_error_m
 
 
 def test_rem_density_curve(benchmark, campaign_result):

@@ -22,18 +22,16 @@ simulation of its hardware context:
 
 Quickstart::
 
-    from repro import generate_rem
-    result = generate_rem()
-    print(result.summary())
+    from repro import RemJobSpec, run_job
+    artifact = run_job(RemJobSpec())
+    print(artifact.result.summary())
 """
 
 from .core import (
     RadioEnvironmentMap,
     REMDataset,
-    ToolchainConfig,
     ToolchainResult,
     build_rem,
-    generate_rem,
     preprocess,
 )
 from .radio import (
@@ -63,8 +61,6 @@ from .station import (
 __version__ = "1.1.0"
 
 __all__ = [
-    "generate_rem",
-    "ToolchainConfig",
     "ToolchainResult",
     "RadioEnvironmentMap",
     "REMDataset",

@@ -2,7 +2,7 @@
 
 Data containers (:class:`REMDataset`), the §III-B preprocessing
 pipeline, the predictor families of Fig. 8, the REM product itself, and
-the end-to-end :func:`generate_rem` pipeline.
+the end-to-end pipeline behind :func:`repro.serve.run_job`.
 """
 
 from . import predictors
@@ -13,14 +13,7 @@ from .fingerprinting import (
     FingerprintLocalizer,
     evaluate_fingerprinting,
 )
-from .handover import HandoverEvent, HandoverPlan, hysteresis_tradeoff, plan_handovers
-from .relay import RelayPlacement, place_relay, relay_gain_db
-from .pipeline import (
-    DEFAULT_KNN_GRID,
-    ToolchainConfig,
-    ToolchainResult,
-    generate_rem,
-)
+from .pipeline import DEFAULT_KNN_GRID, ToolchainResult
 from .preprocessing import (
     PreprocessConfig,
     PreprocessResult,
@@ -44,16 +37,7 @@ __all__ = [
     "FingerprintEvaluation",
     "FingerprintLocalizer",
     "evaluate_fingerprinting",
-    "HandoverEvent",
-    "HandoverPlan",
-    "hysteresis_tradeoff",
-    "plan_handovers",
-    "RelayPlacement",
-    "place_relay",
-    "relay_gain_db",
-    "ToolchainConfig",
     "ToolchainResult",
-    "generate_rem",
     "DEFAULT_KNN_GRID",
     "PreprocessConfig",
     "PreprocessResult",

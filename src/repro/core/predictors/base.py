@@ -1,21 +1,21 @@
 """The predictor contract all RSS estimators implement.
 
-Predictors consume :class:`repro.core.REMDataset` views directly (not
-raw matrices) because several of the paper's estimators need the MAC
+Predictors fit on :class:`repro.core.REMDataset` views (not raw
+matrices) because several of the paper's estimators need the MAC
 identity of each sample, not just its feature encoding — the
 mean-per-MAC baseline and the per-MAC k-NN ensemble most obviously.
 
-Beyond the row-wise :meth:`Predictor.predict`, the contract exposes two
-batched entry points that the REM engine drives:
+The prediction contract is :meth:`Predictor.fit` plus
+:meth:`Predictor.predict_points`, which predicts at raw ``(N, 3)``
+points with one MAC index per row.  Everything else derives from it:
 
-* :meth:`Predictor.predict_points` — predict at raw ``(N, 3)`` points
-  with one MAC index per row, without building a dataset view;
+* :meth:`Predictor.predict` — the rows of a dataset view, in one line
+  over :meth:`predict_points` (only the k-NN overrides it, with the
+  dense brute-force reference its batched paths are tested against);
 * :meth:`Predictor.predict_mac_grid` — the REM cross product: one point
   set evaluated for *every* requested MAC, returned as ``(M, N)``.
-
-The base class provides shims that route both through the legacy
-:meth:`predict` path, so third-party predictors keep working unchanged;
-the in-tree estimators override them with vectorized fast paths.
+  The default stacks per-MAC :meth:`predict_points` calls; estimators
+  that can share work across MACs override it.
 
 The contract also carries a batched **uncertainty** channel, which the
 active-sampling planner drives:
@@ -122,8 +122,14 @@ class Predictor(abc.ABC):
         """Fit on the training view; returns self for chaining."""
 
     @abc.abstractmethod
+    def predict_points(
+        self, points: np.ndarray, mac_indices: np.ndarray
+    ) -> np.ndarray:
+        """Predict RSS (dBm) at raw ``(N, 3)`` points, one MAC index per row."""
+
     def predict(self, data: REMDataset) -> np.ndarray:
         """Predict RSS (dBm) for every row of ``data``."""
+        return self.predict_points(data.positions, data.mac_indices)
 
     def partial_fit(self, delta: REMDataset) -> "Predictor":
         """Incorporate new rows without refitting from scratch.
@@ -162,20 +168,6 @@ class Predictor(abc.ABC):
     # ------------------------------------------------------------------
     # batched query API (the REM engine's entry points)
     # ------------------------------------------------------------------
-    def predict_points(
-        self, points: np.ndarray, mac_indices: np.ndarray
-    ) -> np.ndarray:
-        """Predict RSS at raw ``(N, 3)`` points, one MAC index per row.
-
-        The default shim wraps the inputs in a :class:`REMDataset` over
-        the fitted vocabulary and defers to :meth:`predict`, preserving
-        the legacy per-dataset path bit for bit.  Subclasses override it
-        with native vectorized implementations.
-        """
-        self._require_fitted()
-        points, mac_indices = self._coerce_point_query(points, mac_indices)
-        return self.predict(self._as_dataset(points, mac_indices))
-
     def predict_mac_grid(
         self, points: np.ndarray, mac_indices: Sequence[int]
     ) -> np.ndarray:
@@ -271,17 +263,6 @@ class Predictor(abc.ABC):
             out[rows] = sigma * nearest / (nearest + self.UNCERTAINTY_RANGE_M)
         return out
 
-    def bind_vocabulary(self, mac_vocabulary: Sequence[str]) -> None:
-        """Record the MAC vocabulary the batched shims should assume.
-
-        A no-op when :meth:`fit` already recorded one (every in-tree
-        estimator does); consumers like ``build_rem`` call this so that
-        legacy subclasses whose ``fit`` predates the batched API still
-        get correctly-shaped dataset views from the shims.
-        """
-        if self._train_vocabulary is None:
-            self._train_vocabulary = tuple(mac_vocabulary)
-
     # ------------------------------------------------------------------
     @staticmethod
     def _coerce_grid_query(
@@ -307,26 +288,6 @@ class Predictor(abc.ABC):
                 f"{len(points)} query points"
             )
         return points, mac_indices
-
-    def _as_dataset(self, points: np.ndarray, mac_indices: np.ndarray) -> REMDataset:
-        """A throwaway dataset view over raw query points."""
-        vocabulary = self._train_vocabulary
-        if vocabulary is None or (
-            len(mac_indices) and int(mac_indices.max()) >= len(vocabulary)
-        ):
-            # Unknown training vocabulary (or indices beyond it): make a
-            # synthetic one wide enough — per-MAC estimators only key on
-            # the integer index anyway.
-            width = int(mac_indices.max()) + 1 if len(mac_indices) else 1
-            vocabulary = tuple(f"mac-{i:02d}" for i in range(width))
-        n = len(points)
-        return REMDataset(
-            positions=points,
-            mac_indices=mac_indices,
-            channels=np.ones(n, dtype=int),
-            rssi_dbm=np.zeros(n),
-            mac_vocabulary=vocabulary,
-        )
 
     # ------------------------------------------------------------------
     def get_params(self) -> Dict[str, Any]:

@@ -89,11 +89,6 @@ class MeanPerMacBaseline(Predictor):
         self._stds_table = stds
         return self
 
-    def predict(self, data: REMDataset) -> np.ndarray:
-        """Per-MAC training mean; global mean for unseen MACs."""
-        self._require_fitted()
-        return self._lookup(data.mac_indices)
-
     def predict_points(
         self, points: np.ndarray, mac_indices: np.ndarray
     ) -> np.ndarray:

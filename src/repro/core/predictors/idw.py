@@ -102,11 +102,6 @@ class IdwRegressor(Predictor):
                 self._per_mac[key] = (new_positions, new_values)
         return self
 
-    def predict(self, data: REMDataset) -> np.ndarray:
-        """Shepard-weighted average of same-MAC samples per query."""
-        self._require_fitted()
-        return self.predict_points(data.positions, data.mac_indices)
-
     def predict_points(
         self, points: np.ndarray, mac_indices: np.ndarray
     ) -> np.ndarray:

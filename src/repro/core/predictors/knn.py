@@ -84,7 +84,7 @@ def _powered_distances(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
 #: Relative tolerance for k-th-neighbor boundary ties.  Values this
 #: close are either genuine duplicates (every beacon of one scan shares
 #: that scan's position estimate, so cross-MAC distances collide) or
-#: representation noise: the legacy 60-dim feature path places each
+#: representation noise: the dense reference feature path places each
 #: MAC's one-hot term at a different column of its norm summation,
 #: splitting exact ties into ±1-ulp subgroups.
 _TIE_RTOL = 1e-9
@@ -191,7 +191,7 @@ class KnnRegressor(Predictor):
     def fit(self, train: REMDataset) -> "KnnRegressor":
         """Memorize the training features and targets.
 
-        The dense one-hot feature matrix only serves the legacy
+        The dense one-hot feature matrix only serves the reference
         :meth:`predict` path, so it is materialized lazily (from the
         arrays copied here, preserving the snapshot-at-fit contract) —
         fits that are consumed through the batched point/grid APIs
@@ -222,7 +222,7 @@ class KnnRegressor(Predictor):
         ``_mac_columns`` index arrays stay valid (indices are append-
         only); MACs present in the delta extend theirs with the new row
         offsets.  The lazily-built dense feature matrix is invalidated
-        and rebuilt on the next legacy :meth:`predict` call.
+        and rebuilt on the next reference :meth:`predict` call.
         """
         if not self._check_partial_fit(delta):
             return self
@@ -260,7 +260,13 @@ class KnnRegressor(Predictor):
         return self
 
     def predict(self, data: REMDataset) -> np.ndarray:
-        """Weighted neighbor average for every query row."""
+        """Weighted neighbor average for every query row, brute force.
+
+        The dense reference over the full [x, y, z, one-hot(MAC)]
+        features: tests check the batched paths against it, and the
+        held-out score uses it.  It agrees with :meth:`predict_points`
+        to 1e-9, not bit for bit.
+        """
         self._require_fitted()
         queries = data.features(self.onehot_scale)
         out = np.empty(len(data))
@@ -563,7 +569,7 @@ class KnnRegressor(Predictor):
         return np.sqrt(disagreement**2 + reach**2)
 
     # ------------------------------------------------------------------
-    def _legacy_features(self) -> np.ndarray:
+    def _reference_features(self) -> np.ndarray:
         """[x, y, z, one-hot(MAC)] rebuilt from the fit-time snapshots
         (same layout as ``REMDataset.features``)."""
         assert self._train_positions is not None and self._train_macs is not None
@@ -576,7 +582,7 @@ class KnnRegressor(Predictor):
     def _predict_chunk(self, queries: np.ndarray) -> np.ndarray:
         assert self._train_targets is not None
         if self._train_features is None:
-            self._train_features = self._legacy_features()
+            self._train_features = self._reference_features()
         k = min(self.n_neighbors, len(self._train_targets))
         distances = _minkowski_distances(queries, self._train_features, self.p)
         neighbor_idx, neighbor_dist = _stable_topk(distances, k)

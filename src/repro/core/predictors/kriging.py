@@ -163,18 +163,6 @@ class OrdinaryKrigingRegressor(Predictor):
             self._models[key] = (positions, values, variogram)
         return self
 
-    def predict(self, data: REMDataset) -> np.ndarray:
-        """Kriging estimate per query (variance available via predict_std)."""
-        self._require_fitted()
-        means, _ = self._predict_with_std(data)
-        return means
-
-    def predict_std(self, data: REMDataset) -> np.ndarray:
-        """Kriging standard deviation per query (model uncertainty)."""
-        self._require_fitted()
-        _, stds = self._predict_with_std(data)
-        return stds
-
     def predict_points(
         self, points: np.ndarray, mac_indices: np.ndarray
     ) -> np.ndarray:
@@ -202,9 +190,6 @@ class OrdinaryKrigingRegressor(Predictor):
         return stds
 
     # ------------------------------------------------------------------
-    def _predict_with_std(self, data: REMDataset) -> Tuple[np.ndarray, np.ndarray]:
-        return self._predict_arrays_with_std(data.positions, data.mac_indices)
-
     def _predict_arrays_with_std(
         self, points: np.ndarray, mac_indices: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:

@@ -146,10 +146,16 @@ class MlpRegressor(Predictor):
         return self
 
     # ------------------------------------------------------------------
-    def predict(self, data: REMDataset) -> np.ndarray:
+    def predict_points(
+        self, points: np.ndarray, mac_indices: np.ndarray
+    ) -> np.ndarray:
         """Forward pass, de-normalized back to dBm."""
         self._require_fitted()
-        X = data.features(self.onehot_scale)
+        points, mac_indices = self._coerce_point_query(points, mac_indices)
+        # The fit-time [x, y, z, one-hot(MAC)] layout (REMDataset.features).
+        onehot = np.zeros((len(points), len(self._x_mean) - 3))
+        onehot[np.arange(len(points)), mac_indices] = self.onehot_scale
+        X = np.hstack([points, onehot])
         Xn = (X - self._x_mean) / self._x_std
         a1 = _sigmoid(Xn @ self._weights["W1"] + self._weights["b1"])
         pred = (a1 @ self._weights["W2"] + self._weights["b2"]).ravel()

@@ -97,11 +97,6 @@ class PerMacKnnRegressor(Predictor):
                 self._targets[key] = new_targets
         return self
 
-    def predict(self, data: REMDataset) -> np.ndarray:
-        """Dispatch each query to its MAC's spatial regressor."""
-        self._require_fitted()
-        return self.predict_points(data.positions, data.mac_indices)
-
     def predict_points(
         self, points: np.ndarray, mac_indices: np.ndarray
     ) -> np.ndarray:

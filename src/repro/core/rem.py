@@ -514,7 +514,6 @@ def build_rem(
     (rem,) = _build_maps(
         1,
         lambda points, indices: (predictor.predict_mac_grid(points, indices),),
-        predictor,
         train,
         volume,
         resolution_m,
@@ -544,7 +543,6 @@ def build_uncertainty_rem(
     (uncertainty,) = _build_maps(
         1,
         lambda points, indices: (predictor.uncertainty_grid(points, indices),),
-        predictor,
         train,
         volume,
         resolution_m,
@@ -568,7 +566,7 @@ def build_rem_layers(
     search per MAC for both layers.
     """
     rem, uncertainty = _build_maps(
-        2, predictor.grid_layers, predictor, train, volume, resolution_m, macs
+        2, predictor.grid_layers, train, volume, resolution_m, macs
     )
     return rem, uncertainty
 
@@ -576,7 +574,6 @@ def build_rem_layers(
 def _build_maps(
     layers: int,
     evaluate: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, ...]],
-    predictor: Predictor,
     train: REMDataset,
     volume: Cuboid,
     resolution_m: float,
@@ -590,11 +587,6 @@ def _build_maps(
         if mac not in mac_to_index:
             raise KeyError(f"MAC {mac!r} not in training vocabulary")
     indices = np.array([mac_to_index[mac] for mac in selected], dtype=int)
-    # Legacy subclasses fitted before the batched API recorded no
-    # vocabulary; bind the training one so the base shims build
-    # correctly-shaped dataset views.
-    if hasattr(predictor, "bind_vocabulary"):
-        predictor.bind_vocabulary(train.mac_vocabulary)
     # The maps are allocated before the lattice pass's large transient
     # arrays: allocated after them, they changed glibc's heap layout
     # enough to leave 20-50 MB of freed heap resident in serving

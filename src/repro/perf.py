@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
-__all__ = ["StageTimer", "maybe_span"]
+__all__ = ["StageTimer"]
 
 
 class StageTimer:
@@ -66,29 +66,3 @@ class StageTimer:
     def __bool__(self) -> bool:
         """True once at least one span has been recorded."""
         return bool(self._wall_s)
-
-
-def maybe_span(timer: Optional[StageTimer], stage: str):
-    """``timer.span(stage)`` when a timer is present, else a no-op span.
-
-    Lets pipeline stages stay un-instrumented-looking at call sites
-    that may or may not have been handed a timer.
-    """
-    if timer is not None:
-        return timer.span(stage)
-    return _NULL_SPAN
-
-
-class _NullSpan:
-    """A reusable no-op context manager."""
-
-    def __enter__(self) -> None:
-        """Do nothing."""
-        return None
-
-    def __exit__(self, *exc) -> bool:
-        """Propagate any exception."""
-        return False
-
-
-_NULL_SPAN = _NullSpan()

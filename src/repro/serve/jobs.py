@@ -1,6 +1,6 @@
 """The job facade: one call from spec to (cached) artifact.
 
-``run_job(spec)`` is the system's single build entry point: it adapts
+``run_job(spec)`` is the system's only build entry point: it adapts
 the JSON :class:`~repro.serve.spec.RemJobSpec` onto the implementation
 layer (``ToolchainConfig`` → campaign → preprocessing → predictor →
 REM and, in the same lattice pass, its uncertainty layer), stamps
@@ -9,9 +9,6 @@ provenance and — when an
 the artifact under its digest.  Because builds are pure functions of
 their spec, a second ``run_job`` with the same spec and store is a
 cache hit: the artifact is loaded, no campaign is re-flown.
-
-``repro.generate_rem`` is a thin shim over this facade for every
-config it can express as a spec.
 """
 
 from __future__ import annotations
@@ -56,7 +53,6 @@ def run_job(spec: RemJobSpec, store: Optional[ArtifactStore] = None) -> RemArtif
     timer = StageTimer()
     start = time.perf_counter()
     result = _run_toolchain(
-        scenario=None,
         predictor=spec.build_predictor(),
         config=spec.toolchain_config(),
         timer=timer,

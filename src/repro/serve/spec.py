@@ -9,12 +9,10 @@ job **digest**: because every build is a pure function of its spec,
 the digest doubles as the content address of the finished artifact
 (see :mod:`~repro.serve.artifact`).
 
-The spec *subsumes* the layered ``ToolchainConfig`` /
-``CampaignConfig`` / ``ActiveSamplingConfig`` plumbing: those configs
-stay as the implementation layer, reached through
-:meth:`RemJobSpec.toolchain_config`, and a config built only from
-JSON-representable fields converts back via
-:meth:`RemJobSpec.from_toolchain_config`.
+The spec is the only way to describe a build, and the only place its
+defaults live.  The ``ToolchainConfig`` / ``CampaignConfig`` /
+``ActiveSamplingConfig`` layer below it is the implementation's
+argument bundle, reached through :meth:`RemJobSpec.toolchain_config`.
 """
 
 from __future__ import annotations
@@ -55,9 +53,9 @@ PREDICTOR_FACTORIES = {
 class RemJobSpec:
     """Everything a reproducible REM build needs, as one JSON record.
 
-    Defaults mirror :class:`~repro.core.pipeline.ToolchainConfig`: the
-    condo scenario, the paper's 72-waypoint lattice campaign and a
-    grid-search-tuned k-NN at a 0.25 m lattice.
+    The defaults are the paper's build: the condo scenario, the
+    72-waypoint lattice campaign and a grid-search-tuned k-NN at a
+    0.25 m lattice.
     """
 
     #: Scenario name: a registry entry or a ``generated:...`` spec name.
@@ -255,46 +253,3 @@ class RemJobSpec:
         if self.predictor == "knn" and not self.hyperparameters:
             return None
         return PREDICTOR_FACTORIES[self.predictor](**self.hyperparameters)
-
-    @classmethod
-    def from_toolchain_config(
-        cls, config: ToolchainConfig, with_uncertainty: bool = True
-    ) -> Optional["RemJobSpec"]:
-        """The spec equivalent of ``config``, or ``None``.
-
-        ``None`` means the config customizes something a JSON spec
-        cannot carry (firmware, radio, client timing, no-fly zones,
-        predictor factories, ...) and must take the direct
-        implementation path.
-        """
-        try:
-            campaign = config.campaign.to_job_fields()
-        except ValueError:
-            return None
-        try:
-            return cls._from_campaign_fields(config, campaign, with_uncertainty)
-        except ValueError:
-            # e.g. active tunables attached to a lattice campaign.
-            return None
-
-    @classmethod
-    def _from_campaign_fields(
-        cls,
-        config: ToolchainConfig,
-        campaign: Dict[str, object],
-        with_uncertainty: bool,
-    ) -> "RemJobSpec":
-        return cls(
-            scenario=campaign["scenario"],
-            seed=campaign["seed"],
-            acquisition=campaign["acquisition"],
-            active=campaign["active"],
-            fleet=campaign.get("fleet"),
-            tune=config.tune_hyperparameters,
-            cv_folds=config.cv_folds,
-            resolution_m=config.rem_resolution_m,
-            min_samples_per_mac=config.preprocess.min_samples_per_mac,
-            test_fraction=config.preprocess.test_fraction,
-            split_seed=config.preprocess.split_seed,
-            with_uncertainty=with_uncertainty,
-        )

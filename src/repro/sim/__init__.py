@@ -11,7 +11,6 @@ Public surface:
 
 from .kernel import Event, SimulationError, Simulator
 from .process import Condition, Interrupted, Process, Timeout, WaitFor, spawn
-from .resources import Mutex, Semaphore, Store
 from .rng import RandomStreams, stable_hash
 
 __all__ = [
@@ -24,9 +23,6 @@ __all__ = [
     "Condition",
     "Interrupted",
     "spawn",
-    "Mutex",
-    "Semaphore",
-    "Store",
     "RandomStreams",
     "stable_hash",
 ]

@@ -13,13 +13,6 @@ from .crazyflie import Crazyflie, FlightState, UavConfig
 from .decks import ESP_DECK, LOCO_DECK, MAX_DECKS, Deck, DeckSlots
 from .dynamics import DynamicsConfig, FlightDynamics
 from .firmware import FirmwareConfig
-from .imu import Imu, ImuConfig
-from .trajectory import (
-    QuinticSegment,
-    Trajectory,
-    plan_min_jerk_leg,
-    plan_trajectory,
-)
 
 __all__ = [
     "app_protocol",
@@ -38,10 +31,4 @@ __all__ = [
     "DynamicsConfig",
     "FlightDynamics",
     "FirmwareConfig",
-    "Imu",
-    "ImuConfig",
-    "QuinticSegment",
-    "Trajectory",
-    "plan_min_jerk_leg",
-    "plan_trajectory",
 ]

@@ -7,13 +7,6 @@ and the on-board extended Kalman filter (after Mueller et al. 2015).
 
 from .anchors import LPS_RANGE_M, MIN_ANCHORS_3D, Anchor, AnchorLayout, corner_layout
 from .kalman import EkfConfig, PositionVelocityEkf
-from .lighthouse import (
-    LighthouseBaseStation,
-    LighthouseConfig,
-    LighthouseEstimator,
-    default_base_stations,
-    evaluate_lighthouse_hovering,
-)
 from .localization import (
     HoveringAccuracyResult,
     LocalizationMode,
@@ -33,11 +26,6 @@ __all__ = [
     "Anchor",
     "AnchorLayout",
     "corner_layout",
-    "LighthouseBaseStation",
-    "LighthouseConfig",
-    "LighthouseEstimator",
-    "default_base_stations",
-    "evaluate_lighthouse_hovering",
     "LPS_RANGE_M",
     "MIN_ANCHORS_3D",
     "EkfConfig",

@@ -248,22 +248,6 @@ class PositionVelocityEkf:
         self.accepted_updates += accepted
         return accepted
 
-    def update_linearized(
-        self,
-        innovation: float,
-        position_jacobian: Sequence[float],
-        sigma: float,
-    ) -> bool:
-        """Generic scalar update for position-only measurement models.
-
-        ``innovation`` is ``measured - predicted`` and
-        ``position_jacobian`` is ∂h/∂p evaluated at the current estimate
-        (velocity rows are zero).  Used by alternative localization
-        backends such as the Lighthouse sweep-angle model.
-        """
-        h = np.asarray(position_jacobian, dtype=float)
-        return self._scalar_update(innovation, h, sigma**2)
-
     # ------------------------------------------------------------------
     def _scalar_update(self, innovation: float, h: np.ndarray, r_var: float) -> bool:
         """One scalar measurement with position-only Jacobian ``h`` (3,).
@@ -274,7 +258,7 @@ class PositionVelocityEkf:
         form, expanded for a scalar measurement as ``P - K(PH^T)^T -
         (PH^T)K^T + S KK^T + ...``: it costs a couple of extra outer
         products but stays positive semi-definite under roundoff,
-        which matters for the long sequential TWR/lighthouse runs that
+        which matters for the long sequential TWR runs that
         still use this path (TDoA bursts go through the joint
         :meth:`update_tdoa_stacked`).
         """

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.predictors import IdwRegressor
+from repro.core.predictors.neural import _sigmoid
 from repro.core.rem import RemGrid, build_rem, build_rem_layers, build_uncertainty_rem
 from repro.radio import Cuboid
 from repro.serve import RemJobSpec, run_job
@@ -67,6 +68,42 @@ class TestEveryEstimator:
             column = np.full(len(points), mac)
             assert np.array_equal(rss[row], model.predict_points(points, column))
             assert np.array_equal(std[row], model.predict_points_std(points, column))
+
+
+@pytest.mark.parametrize("name", sorted(set(PREDICTOR_FACTORIES) - {"knn"}))
+class TestOnePredictContract:
+    """``predict(data)`` is ``predict_points`` over the view's arrays.
+
+    The k-NN is left out: it keeps a dense brute-force ``predict`` as
+    the reference its batched paths are checked against (to 1e-9, in
+    ``test_rem_engine.py``).
+    """
+
+    def test_predict_is_predict_points(self, name, training_data, rng):
+        model = _fitted(name, training_data)
+        macs = np.array(MACS * 8)
+        positions = rng.uniform(0.0, 2.0, size=(len(macs), 3))
+        data = dataset_from_arrays(
+            positions, macs, np.zeros(len(macs)), training_data.mac_vocabulary
+        )
+        expected = model.predict_points(positions, macs)
+        assert np.array_equal(model.predict(data), expected)
+
+
+def test_mlp_predict_points_is_the_forward_pass(training_data, rng):
+    """The MLP's points path ≡ its former dataset forward pass, bit for bit."""
+    model = _fitted("mlp", training_data)
+    macs = np.array(MACS * 8)
+    positions = rng.uniform(0.0, 2.0, size=(len(macs), 3))
+    data = dataset_from_arrays(
+        positions, macs, np.zeros(len(macs)), training_data.mac_vocabulary
+    )
+    weights = model._weights
+    features = (data.features(model.onehot_scale) - model._x_mean) / model._x_std
+    hidden = _sigmoid(features @ weights["W1"] + weights["b1"])
+    expected = (hidden @ weights["W2"] + weights["b2"]).ravel()
+    expected = expected * model._y_std + model._y_mean
+    assert np.array_equal(model.predict_points(positions, macs), expected)
 
 
 class TestIdwEdges:

@@ -67,8 +67,16 @@ class TestKrigingRegressor:
     def test_predict_std_nonnegative(self, rng):
         data = self._smooth_data(rng, n=60)
         model = OrdinaryKrigingRegressor(n_neighbors=8).fit(data)
-        stds = model.predict_std(data)
+        stds = model.predict_points_std(data.positions, data.mac_indices)
         assert (stds >= 0).all()
+
+    def test_absent_mac_std_is_the_global_spread(self, rng):
+        data = self._smooth_data(rng, n=40)
+        model = OrdinaryKrigingRegressor().fit(data)
+        points = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+        stds = model.predict_points_std(points, np.array([1, 0]))
+        assert stds[0] == data.rssi_dbm.std()
+        assert 0.0 < stds[1] < data.rssi_dbm.std()
 
     def test_unseen_mac_falls_back(self, rng):
         data = self._smooth_data(rng, n=40)

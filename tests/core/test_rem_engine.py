@@ -3,8 +3,9 @@
 Covers the satellite checklist of the engine refactor: out-of-volume
 query clipping, degenerate axis spans, serialization round-trips of the
 stacked-field representation, and equivalence of the batched predictor
-paths (``predict_points`` / ``predict_mac_grid``) against the legacy
-per-``REMDataset`` ``predict`` path at 1e-9 absolute tolerance.
+paths (``predict_points`` / ``predict_mac_grid``) against the
+per-``REMDataset`` ``predict`` path (the k-NN's dense brute-force
+reference) at 1e-9 absolute tolerance.
 """
 
 import numpy as np
@@ -176,7 +177,7 @@ class TestStackedSerialization:
 
 
 class TestBatchedEquivalence:
-    """Batched fast paths must match the legacy per-dataset path."""
+    """Batched fast paths must match the per-dataset ``predict`` path."""
 
     PREDICTORS = [
         MeanPerMacBaseline(),
@@ -187,7 +188,7 @@ class TestBatchedEquivalence:
         PerMacKnnRegressor(n_neighbors=4),
         IdwRegressor(power=2.0),
         OrdinaryKrigingRegressor(n_neighbors=8),
-        MlpRegressor(epochs=10, seed=3),  # exercises the base-class shim
+        MlpRegressor(epochs=10, seed=3),
     ]
 
     @pytest.mark.parametrize(
@@ -197,9 +198,9 @@ class TestBatchedEquivalence:
         model = predictor.clone().fit(training_data)
         points = rng.uniform(-0.5, 2.5, size=(200, 3))
         mac_indices = rng.integers(0, training_data.n_macs, size=200)
-        legacy = model.predict(_query_view(training_data, points, mac_indices))
+        reference = model.predict(_query_view(training_data, points, mac_indices))
         batched = model.predict_points(points, mac_indices)
-        np.testing.assert_allclose(batched, legacy, atol=1e-9, rtol=0.0)
+        np.testing.assert_allclose(batched, reference, atol=1e-9, rtol=0.0)
 
     @pytest.mark.parametrize(
         "predictor", PREDICTORS, ids=lambda p: f"{p.name}-{p.get_params()}"
@@ -211,10 +212,10 @@ class TestBatchedEquivalence:
         grid_out = model.predict_mac_grid(points, mac_indices)
         assert grid_out.shape == (training_data.n_macs, 60)
         for row, mac in enumerate(mac_indices):
-            legacy = model.predict(
+            reference = model.predict(
                 _query_view(training_data, points, np.full(60, mac, dtype=int))
             )
-            np.testing.assert_allclose(grid_out[row], legacy, atol=1e-9, rtol=0.0)
+            np.testing.assert_allclose(grid_out[row], reference, atol=1e-9, rtol=0.0)
 
     def test_knn_exact_tie_breaking_is_deterministic(self):
         # Two training samples at the same position with different MACs
@@ -230,11 +231,11 @@ class TestBatchedEquivalence:
             data
         )
         query = np.array([[1.0, 0.0, 0.0]])
-        legacy = model.predict(_query_view(data, query, np.array([0])))
+        reference = model.predict(_query_view(data, query, np.array([0])))
         batched = model.predict_points(query, np.array([0]))
         # Neighbor 1 (MAC b, same position: tie between b and c broken
         # by index) plus... the query MAC a matches only sample 0.
-        np.testing.assert_allclose(batched, legacy, atol=1e-12)
+        np.testing.assert_allclose(batched, reference, atol=1e-12)
 
     def test_mac_indices_shape_validation(self, training_data):
         model = MeanPerMacBaseline().fit(training_data)
@@ -255,47 +256,14 @@ class TestBuildRemBatched:
         grid = rem.grid
         points = grid.points()
         for mac_index, mac in enumerate(training_data.mac_vocabulary):
-            legacy = model.predict(
+            reference = model.predict(
                 _query_view(
                     training_data, points, np.full(len(points), mac_index, dtype=int)
                 )
             )
             np.testing.assert_allclose(
-                rem.field(mac).ravel(), legacy, atol=1e-9, rtol=0.0
+                rem.field(mac).ravel(), reference, atol=1e-9, rtol=0.0
             )
-
-    def test_legacy_subclass_through_shim(self, training_data):
-        # An out-of-tree predictor predating the batched API: uses the
-        # one-hot feature encoding and calls the zero-argument
-        # _mark_fitted(), so no vocabulary is recorded at fit time.
-        # build_rem must bind the training vocabulary so the shim
-        # produces correctly-shaped dataset views — including for MAC
-        # subsets that don't span the full index range.
-        from repro.core.predictors.base import Predictor
-
-        class LegacyOneHot(Predictor):
-            name = "legacy-onehot"
-
-            def fit(self, train):
-                self._w = np.linalg.lstsq(
-                    train.features(), train.rssi_dbm, rcond=None
-                )[0]
-                self._mark_fitted()
-                return self
-
-            def predict(self, data):
-                return data.features() @ self._w
-
-        model = LegacyOneHot().fit(training_data)
-        volume = Cuboid((0, 0, 0), (2, 2, 2))
-        subset = training_data.mac_vocabulary[1:2]
-        rem = build_rem(model, training_data, volume, resolution_m=1.0, macs=subset)
-        assert rem.macs == subset
-        points = rem.grid.points()
-        legacy = model.predict(
-            _query_view(training_data, points, np.full(len(points), 1, dtype=int))
-        )
-        np.testing.assert_allclose(rem.field(subset[0]).ravel(), legacy, atol=1e-9)
 
     def test_field_views_are_read_only(self, training_data):
         model = MeanPerMacBaseline().fit(training_data)

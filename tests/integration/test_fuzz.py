@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.link import CrtpPacket, CrtpPort
 from repro.uav import Battery, BatteryConfig, DynamicsConfig, FlightDynamics
 from repro.uav import app_protocol as proto
-from repro.uav.trajectory import plan_min_jerk_leg
 from repro.wifi import AtParseError, ScanRecord, parse_cwlap_line
 from repro.wifi.esp8266 import Esp01Module
 
@@ -115,29 +114,3 @@ class TestDynamicsProperties:
         for _ in range(150):
             dynamics.update(0.04, rng)
             assert np.linalg.norm(dynamics.velocity) <= 0.7 + 1e-6
-
-
-class TestTrajectoryProperties:
-    @settings(deadline=None, max_examples=40)
-    @given(
-        start=st.tuples(*[st.floats(-5, 5, allow_nan=False)] * 3),
-        end=st.tuples(*[st.floats(-5, 5, allow_nan=False)] * 3),
-        v_max=st.floats(0.2, 2.0, allow_nan=False),
-    )
-    def test_planned_leg_honors_speed_limit(self, start, end, v_max):
-        segment = plan_min_jerk_leg(start, end, max_speed_mps=v_max)
-        assert segment.peak_speed_mps <= v_max + 1e-9
-        # Sampled speeds must also respect the limit.
-        times = np.linspace(0, segment.duration_s, 50)
-        for t in times:
-            assert np.linalg.norm(segment.velocity(t)) <= v_max + 1e-6
-
-    @settings(deadline=None, max_examples=40)
-    @given(
-        start=st.tuples(*[st.floats(-5, 5, allow_nan=False)] * 3),
-        end=st.tuples(*[st.floats(-5, 5, allow_nan=False)] * 3),
-    )
-    def test_endpoints_exact(self, start, end):
-        segment = plan_min_jerk_leg(start, end)
-        assert np.allclose(segment.position(0.0), start, atol=1e-9)
-        assert np.allclose(segment.position(segment.duration_s), end, atol=1e-9)

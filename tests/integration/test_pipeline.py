@@ -1,17 +1,16 @@
-"""End-to-end pipeline test (generate_rem)."""
+"""End-to-end pipeline test (run_job on an untuned spec)."""
 
 import pytest
 
-from repro import ToolchainConfig, generate_rem
-from repro.core.pipeline import ToolchainResult
+from repro import RemJobSpec, ToolchainResult, run_job
 
 
 @pytest.fixture(scope="module")
 def pipeline_result():
     # Hyper-parameter tuning off: the grid search is exercised separately
     # and would quadruple the runtime here.
-    config = ToolchainConfig(tune_hyperparameters=False, rem_resolution_m=0.5)
-    return generate_rem(config=config)
+    spec = RemJobSpec(tune=False, resolution_m=0.5, with_uncertainty=False)
+    return run_job(spec).result
 
 
 class TestGenerateRem:

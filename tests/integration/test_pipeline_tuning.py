@@ -1,8 +1,7 @@
-"""The tuned pipeline path: generate_rem with the §III-B grid search."""
+"""The tuned pipeline path: run_job with the §III-B grid search."""
 
 import pytest
 
-from repro import ToolchainConfig, generate_rem
 from repro.serve import RemJobSpec, run_job
 
 #: The grid search shares one k-NN pass per fold across its 24
@@ -12,12 +11,8 @@ from repro.serve import RemJobSpec, run_job
 
 @pytest.fixture(scope="module")
 def tuned_result():
-    with pytest.warns(DeprecationWarning, match="run_job"):
-        return generate_rem(
-            config=ToolchainConfig(
-                tune_hyperparameters=True, rem_resolution_m=0.5, cv_folds=3
-            )
-        )
+    spec = RemJobSpec(resolution_m=0.5, cv_folds=3, with_uncertainty=False)
+    return run_job(spec).result
 
 
 class TestTunedPipeline:

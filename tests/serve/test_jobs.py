@@ -1,14 +1,9 @@
-"""run_job: the spec→artifact facade, determinism, cache hits, shim."""
+"""run_job: the spec→artifact facade, determinism, cache hits."""
 
-import numpy as np
 import pytest
 
 import repro.core.pipeline as pipeline
-from repro.core.pipeline import ToolchainConfig, generate_rem
-from repro.core.preprocessing import PreprocessConfig
 from repro.serve import ArtifactStore, RemJobSpec, run_job
-from repro.station import ActiveSamplingConfig, CampaignConfig
-from repro.uav.firmware import FirmwareConfig
 
 
 @pytest.fixture(scope="module")
@@ -124,80 +119,3 @@ class TestFleetEquivalencePin:
             fleet_artifact.provenance["samples"]
             == active_artifact.provenance["samples"]
         )
-
-
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-class TestGenerateRemShim:
-    CONFIG = ToolchainConfig(
-        campaign=CampaignConfig(
-            seed=63,
-            acquisition="active",
-            active=ActiveSamplingConfig(
-                seed_waypoints=6, batch_size=6, budget_waypoints=6
-            ),
-        ),
-        preprocess=PreprocessConfig(min_samples_per_mac=2),
-        tune_hyperparameters=False,
-        rem_resolution_m=0.8,
-    )
-
-    def test_generate_rem_emits_deprecation_warning(self, tiny_spec):
-        with pytest.warns(DeprecationWarning, match="run_job"):
-            generate_rem(config=tiny_spec.toolchain_config())
-
-    def test_config_call_routes_through_run_job(self, monkeypatch):
-        import repro.serve.jobs as jobs
-
-        seen = {}
-        real = jobs.run_job
-
-        def spying(spec, store=None):
-            seen["spec"] = spec
-            return real(spec, store)
-
-        monkeypatch.setattr(jobs, "run_job", spying)
-        result = generate_rem(config=self.CONFIG)
-        assert seen["spec"].acquisition == "active"
-        assert result.rem.macs  # full ToolchainResult came back
-
-    def test_shim_result_matches_direct_path(self, built, tiny_spec):
-        result = generate_rem(config=tiny_spec.toolchain_config())
-        direct = built.result
-        assert result.test_rmse_dbm == pytest.approx(
-            direct.test_rmse_dbm, abs=1e-12
-        )
-        np.testing.assert_allclose(
-            result.rem.field_tensor(),
-            direct.rem.field_tensor(),
-            atol=1e-9,
-        )
-
-    def test_live_objects_take_the_direct_path(self, monkeypatch):
-        import repro.serve.jobs as jobs
-
-        def exploding(spec, store=None):  # pragma: no cover - must not run
-            raise AssertionError("shim must not engage for live objects")
-
-        monkeypatch.setattr(jobs, "run_job", exploding)
-        config = ToolchainConfig(
-            campaign=CampaignConfig(firmware=FirmwareConfig.stock_2021_06()),
-        )
-        spec = RemJobSpec.from_toolchain_config(config)
-        assert spec is None  # not representable → direct path
-        # The direct path still works end to end for a tiny active run
-        # (anchor_count is a hardware knob no JSON spec can carry).
-        direct_config = ToolchainConfig(
-            campaign=CampaignConfig(
-                anchor_count=6,
-                acquisition="active",
-                active=ActiveSamplingConfig(
-                    seed_waypoints=6, batch_size=6, budget_waypoints=6
-                ),
-            ),
-            preprocess=PreprocessConfig(min_samples_per_mac=2),
-            tune_hyperparameters=False,
-            rem_resolution_m=0.8,
-        )
-        assert RemJobSpec.from_toolchain_config(direct_config) is None
-        result = generate_rem(config=direct_config)
-        assert result.rem.macs

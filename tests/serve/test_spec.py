@@ -4,11 +4,13 @@ import json
 
 import pytest
 
-from repro.core.pipeline import ToolchainConfig
 from repro.core.predictors import KnnRegressor
 from repro.core.preprocessing import PreprocessConfig
+from repro.link.crazyradio import RadioConfig
+from repro.radio.scenario_cache import ScenarioCache
 from repro.serve import RemJobSpec
 from repro.station import ActiveSamplingConfig, CampaignConfig
+from repro.station.client import ClientConfig
 from repro.uav.firmware import FirmwareConfig
 
 
@@ -139,36 +141,53 @@ class TestConfigAdapters:
         assert config.preprocess.min_samples_per_mac == 4
         assert config.rem_resolution_m == 0.5
         assert not config.tune_hyperparameters
-        again = RemJobSpec.from_toolchain_config(config, with_uncertainty=True)
-        assert again == spec
+        assert config.campaign.to_job_fields() == {
+            "scenario": "warehouse",
+            "seed": 17,
+            "acquisition": "active",
+            "active": spec.active,
+            "fleet": None,
+        }
 
     def test_default_toolchain_config_is_representable(self):
-        spec = RemJobSpec.from_toolchain_config(ToolchainConfig())
-        assert spec is not None
-        assert spec.toolchain_config() == ToolchainConfig()
+        config = RemJobSpec().toolchain_config()
+        assert config.campaign == CampaignConfig()
+        assert config.preprocess == PreprocessConfig()
+        assert ScenarioCache._campaign_key(config.campaign) is not None
 
     def test_custom_firmware_is_not_representable(self):
-        config = ToolchainConfig(
-            campaign=CampaignConfig(firmware=FirmwareConfig.stock_2021_06())
-        )
-        assert RemJobSpec.from_toolchain_config(config) is None
+        config = CampaignConfig(firmware=FirmwareConfig.stock_2021_06())
+        with pytest.raises(ValueError, match="firmware"):
+            config.to_job_fields()
+        assert ScenarioCache._campaign_key(config) is None
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("radio", RadioConfig(duty_cycle=0.5)),
+            ("client", ClientConfig(setpoint_period_s=0.1)),
+        ],
+    )
+    def test_custom_hardware_is_not_representable(self, field, value):
+        config = CampaignConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            config.to_job_fields()
+        assert ScenarioCache._campaign_key(config) is None
 
     def test_predictor_factory_is_not_representable(self):
-        config = ToolchainConfig(
-            campaign=CampaignConfig(
-                acquisition="active",
-                active=ActiveSamplingConfig(predictor_factory=KnnRegressor),
-            )
+        config = CampaignConfig(
+            acquisition="active",
+            active=ActiveSamplingConfig(predictor_factory=KnnRegressor),
         )
-        assert RemJobSpec.from_toolchain_config(config) is None
+        with pytest.raises(ValueError, match="predictor_factory"):
+            config.to_job_fields()
+        assert ScenarioCache._campaign_key(config) is None
 
     def test_preprocess_knobs_travel_through(self):
-        config = ToolchainConfig(
-            preprocess=PreprocessConfig(min_samples_per_mac=3, split_seed=99)
+        spec = RemJobSpec(min_samples_per_mac=3, split_seed=99)
+        assert spec.toolchain_config().preprocess == PreprocessConfig(
+            min_samples_per_mac=3, split_seed=99
         )
-        spec = RemJobSpec.from_toolchain_config(config)
-        assert spec.min_samples_per_mac == 3
-        assert spec.split_seed == 99
 
     def test_build_predictor_defaults_to_pipeline_choice(self):
         assert RemJobSpec().build_predictor() is None
@@ -265,5 +284,5 @@ class TestFleetFields:
         assert config.campaign.acquisition == "fleet"
         assert config.campaign.fleet.n_drones == 3
         assert config.campaign.active.budget_waypoints == 30
-        again = RemJobSpec.from_toolchain_config(config, with_uncertainty=True)
-        assert again == spec
+        fields = config.campaign.to_job_fields()
+        assert (fields["active"], fields["fleet"]) == (spec.active, spec.fleet)
