@@ -74,8 +74,7 @@ def spec():
 
 @pytest.fixture(scope="module")
 def store(tmp_path_factory):
-    # npy storage so cluster workers mmap one page-cache copy.
-    return ArtifactStore(tmp_path_factory.mktemp("loadgen-store"), "npy")
+    return ArtifactStore(tmp_path_factory.mktemp("loadgen-store"))
 
 
 @pytest.fixture(scope="module")

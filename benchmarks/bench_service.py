@@ -119,7 +119,8 @@ def test_store_round_trip_wall_time(artifact, store, spec):
     cache_hit_s = time.perf_counter() - t0
     assert hit.cache_hit
 
-    size_kib = path.stat().st_size / 1024.0
+    # The payload is a directory of per-tensor .npy files.
+    size_kib = sum(f.stat().st_size for f in path.iterdir()) / 1024.0
     print(
         f"\nsave {save_s * 1e3:.1f} ms, load {load_s * 1e3:.1f} ms, "
         f"cache-hit run_job {cache_hit_s * 1e3:.1f} ms "

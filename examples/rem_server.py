@@ -145,7 +145,7 @@ def main() -> None:
             thread.join(timeout=5)
 
         # -- the same artifact from a pre-forked worker cluster -------
-        shared = ArtifactStore(f"{root}/shared", "npy")  # mmap-able
+        shared = ArtifactStore(f"{root}/shared")
         shared.save(artifact)
         cluster = RemCluster(shared.root, workers=2)
         cluster.start()

@@ -231,16 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     jrun.add_argument(
-        "--store", default="artifacts", help="artifact store directory"
-    )
-    jrun.add_argument(
-        "--store-format",
-        choices=("npz", "npy"),
-        default="npz",
+        "--store",
+        default="artifacts",
         help=(
-            "artifact storage layout: npz (compressed archive) or npy "
-            "(uncompressed .npy per tensor, mmap-able for multi-worker "
-            "serving; default npz)"
+            "artifact store directory (one mmap-able .npy file per tensor "
+            "plus a JSON sidecar per artifact)"
         ),
     )
     jrun.add_argument(
@@ -282,12 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--store", default="artifacts", help="artifact store directory"
-    )
-    sweep.add_argument(
-        "--store-format",
-        choices=("npz", "npy"),
-        default="npz",
-        help="artifact storage layout (see 'jobs run'; default npz)",
     )
     sweep.add_argument(
         "--workers",
@@ -720,7 +709,6 @@ def _cmd_jobs_sweep(args, store) -> int:
         max_failures=args.max_failures,
         progress=None if args.json else show_progress,
         start_method=args.start_method,
-        storage_format=args.store_format,
     )
     try:
         result = runner.run(jobset)
@@ -777,9 +765,7 @@ def _cmd_jobs_sweep(args, store) -> int:
 def _cmd_jobs(args) -> int:
     from .serve import ArtifactStore, run_job
 
-    store = ArtifactStore(
-        args.store, default_format=getattr(args, "store_format", "npz")
-    )
+    store = ArtifactStore(args.store)
     if args.jobs_command == "sweep":
         return _cmd_jobs_sweep(args, store)
     if args.jobs_command == "run":

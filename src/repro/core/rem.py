@@ -457,29 +457,26 @@ class RadioEnvironmentMap:
             return _rem_from_npz_payload(data)
 
 
-def _rem_npz_payload(
-    rem: "RadioEnvironmentMap", prefix: str = ""
-) -> Dict[str, np.ndarray]:
-    """The array dict behind :meth:`RadioEnvironmentMap.save_npz`.
-
-    ``prefix`` namespaces the keys so several maps (e.g. an artifact's
-    RSS and uncertainty layers) can share one archive.
-    """
+def _rem_npz_payload(rem: "RadioEnvironmentMap") -> Dict[str, np.ndarray]:
+    """The array dict behind :meth:`RadioEnvironmentMap.save_npz`."""
     return {
-        f"{prefix}volume_min": np.asarray(rem.grid.volume.min_corner, dtype=float),
-        f"{prefix}volume_max": np.asarray(rem.grid.volume.max_corner, dtype=float),
-        f"{prefix}resolution_m": np.asarray(rem.grid.resolution_m, dtype=float),
-        f"{prefix}vocabulary": np.asarray(rem.mac_vocabulary, dtype=np.str_),
-        f"{prefix}macs": np.asarray(rem.macs, dtype=np.str_),
-        f"{prefix}stack": rem.field_tensor(),
+        "volume_min": np.asarray(rem.grid.volume.min_corner, dtype=float),
+        "volume_max": np.asarray(rem.grid.volume.max_corner, dtype=float),
+        "resolution_m": np.asarray(rem.grid.resolution_m, dtype=float),
+        "vocabulary": np.asarray(rem.mac_vocabulary, dtype=np.str_),
+        "macs": np.asarray(rem.macs, dtype=np.str_),
+        "stack": rem.field_tensor(),
     }
 
 
 def _rem_from_npz_payload(data, prefix: str = "") -> "RadioEnvironmentMap":
     """Rebuild a map from a :func:`_rem_npz_payload` archive.
 
-    The stored stack dtype is preserved (float32 artifacts stay
-    float32), so save/load round trips are byte-exact for any dtype.
+    ``prefix`` selects one namespaced map out of a shared archive: the
+    legacy artifact-store layout kept an artifact's RSS and uncertainty
+    layers in one ``.npz`` under ``rem_``/``unc_`` keys.  The stored
+    stack dtype is preserved (float32 artifacts stay float32), so
+    save/load round trips are byte-exact for any dtype.
     """
     grid = RemGrid(
         volume=Cuboid(

@@ -10,9 +10,8 @@ The unified job/artifact API over the whole toolchain:
   digest is already stored;
 * :class:`RemArtifact` / :class:`ArtifactStore`
   (:mod:`~repro.serve.artifact`) — the persisted product (REM +
-  uncertainty tensors as compressed ``.npz`` or mmap-able
-  ``.npy``-per-tensor layout, spec + provenance as a JSON sidecar)
-  under a content-addressed store;
+  uncertainty tensors as mmap-able ``.npy`` files, spec + provenance
+  as a JSON sidecar) under a content-addressed store;
 * :class:`JobSetSpec` / :class:`JobSetRunner`
   (:mod:`~repro.serve.jobset`) — the campaign factory: a cartesian
   sweep grid expanded into job specs and fanned out over worker
@@ -29,7 +28,7 @@ The unified job/artifact API over the whole toolchain:
   generator behind ``benchmarks/bench_loadgen.py``.
 """
 
-from .artifact import STORAGE_FORMATS, ArtifactStore, RemArtifact
+from .artifact import ArtifactStore, RemArtifact
 from .cluster import RemCluster, process_rss_bytes
 from .http import RemHttpServer, create_server
 from .jobs import run_job
@@ -62,7 +61,6 @@ __all__ = [
     "run_job",
     "RemArtifact",
     "ArtifactStore",
-    "STORAGE_FORMATS",
     "JobSetSpec",
     "JobSetRunner",
     "JobSetResult",

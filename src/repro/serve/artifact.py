@@ -5,21 +5,17 @@ RSS map, its optional predictive-uncertainty layer, the
 :class:`~repro.serve.spec.RemJobSpec` that produced it and a
 provenance record (seed, sample counts, test RMSE, wall time).  The
 :class:`ArtifactStore` keeps artifacts under their spec digest in one
-of two storage formats, chosen per artifact and recorded in the JSON
-sidecar:
+layout: one uncompressed ``.npy`` file per tensor under
+``<root>/<digest>/`` plus a JSON sidecar.  The tensors load with
+``np.load(mmap_mode="r")``, so N serving processes share one
+page-cache copy of a map instead of N heap copies.
 
-* ``"npz"`` — the tensors as one compressed archive
-  (``<root>/<digest>.npz``): smallest on disk, but every loader
-  decompresses its own private copy;
-* ``"npy"`` — one uncompressed ``.npy`` file per tensor under
-  ``<root>/<digest>/``: larger on disk, but loadable with
-  ``np.load(mmap_mode="r")`` so N serving processes share one
-  page-cache copy of the map instead of N heap copies (the
-  :mod:`~repro.serve.cluster` workers' format).
-
-Either way "build once, persist, serve many" is one ``save`` and any
-number of ``load``/``get`` calls, and re-running a job whose digest is
-already stored is a cache hit.
+Stores written by older versions kept the tensors in one compressed
+``<root>/<digest>.npz`` archive; those artifacts still load (eagerly,
+since a zip archive cannot be mapped), but nothing writes that layout
+any more.  "Build once, persist, serve many" is one ``save`` and any
+number of ``load`` calls, and re-running a job whose digest is already
+stored is a cache hit.
 """
 
 from __future__ import annotations
@@ -35,30 +31,22 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from ..core.rem import (
-    RadioEnvironmentMap,
-    RemGrid,
-    _rem_from_npz_payload,
-    _rem_npz_payload,
-)
+from ..core.rem import RadioEnvironmentMap, RemGrid, _rem_from_npz_payload
 from ..radio.geometry import Cuboid
 from .spec import RemJobSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids eager import
     from ..core.pipeline import ToolchainResult
 
-__all__ = ["RemArtifact", "ArtifactStore", "STORAGE_FORMATS"]
+__all__ = ["RemArtifact", "ArtifactStore"]
 
 #: Sidecar format version (bump on incompatible layout changes).
 #: Version 2 added the ``storage`` and ``dtype`` keys; version-1
 #: sidecars (no ``storage`` key) read as float64 npz archives.
 _FORMAT = 2
 
-#: The storage layouts :meth:`ArtifactStore.save` understands.
-STORAGE_FORMATS = ("npz", "npy")
-
-#: Tensor file name per layer in the ``npy`` layout.
-_LAYER_FILES = {"rem_": "rem_stack.npy", "unc_": "unc_stack.npy"}
+#: Tensor file name per layer (the sidecar's ``storage.layers`` keys).
+_LAYER_FILES = {"rem": "rem_stack.npy", "unc": "unc_stack.npy"}
 
 
 @dataclass
@@ -165,43 +153,55 @@ class ArtifactStore:
     """Content-addressed on-disk artifact collection.
 
     Layout per artifact: a ``<root>/<digest>.json`` sidecar (spec,
-    provenance, storage record) plus the tensors in one of the
-    :data:`STORAGE_FORMATS` — ``<digest>.npz`` (compressed archive) or
-    ``<digest>/<layer>_stack.npy`` (uncompressed, mmap-able).  All
-    methods are safe under concurrent use from one process; saves
-    write via a temp file + atomic rename so readers never observe a
-    half-written artifact.  :meth:`digests` results are cached against
-    the root directory's mtime, keeping :meth:`count` (the liveness
-    probe's artifact counter) O(1) instead of a directory scan.
+    provenance, storage record) plus the tensors as
+    ``<digest>/<layer>_stack.npy`` (uncompressed, mmap-able).  Legacy
+    ``<digest>.npz`` payloads from older stores are read, never
+    written.  All methods are safe under concurrent use from one
+    process; saves write via a temp directory + atomic rename so
+    readers never observe a half-written artifact.  :meth:`digests`
+    results are cached against the root directory's mtime, keeping
+    :meth:`count` (the liveness probe's artifact counter) O(1) instead
+    of a directory scan.
+
+    ``default_format`` accepts only ``"npy"`` (anything else raises
+    ``ValueError``); it survives only because the repository benchmark
+    still passes it, and the next benchmark change drops it.
     """
 
-    def __init__(self, root, default_format: str = "npz"):
-        if default_format not in STORAGE_FORMATS:
+    def __init__(self, root, default_format: str = "npy"):
+        if default_format != "npy":
             raise ValueError(
                 f"unknown storage format {default_format!r}; "
-                f"choose from {STORAGE_FORMATS}"
+                "artifacts are always stored as npy"
             )
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.default_format = default_format
         self._lock = threading.RLock()
         self._digest_cache: Optional[List[str]] = None
         self._digest_stamp: Optional[int] = None
 
     # ------------------------------------------------------------------
-    def _paths(self, digest: str) -> tuple:
-        return self.root / f"{digest}.npz", self.root / f"{digest}.json"
+    def _sidecar_path(self, digest: str) -> Path:
+        return self.root / f"{digest}.json"
+
+    def _npz_path(self, digest: str) -> Path:
+        return self.root / f"{digest}.npz"
 
     def _npy_dir(self, digest: str) -> Path:
         return self.root / digest
 
-    def _has_payload(self, digest: str) -> bool:
-        npz, _ = self._paths(digest)
-        return npz.exists() or (self._npy_dir(digest) / _LAYER_FILES["rem_"]).exists()
+    def _payload_path(self, digest: str) -> Optional[Path]:
+        if (self._npy_dir(digest) / _LAYER_FILES["rem"]).exists():
+            return self._npy_dir(digest)
+        if self._npz_path(digest).exists():
+            return self._npz_path(digest)
+        return None
 
     def __contains__(self, digest: str) -> bool:
-        _, sidecar = self._paths(digest)
-        return sidecar.exists() and self._has_payload(digest)
+        return (
+            self._sidecar_path(digest).exists()
+            and self._payload_path(digest) is not None
+        )
 
     def digests(self) -> List[str]:
         """Digests of every stored artifact, sorted.
@@ -224,37 +224,25 @@ class ArtifactStore:
         return len(self.digests())
 
     # ------------------------------------------------------------------
-    def save(self, artifact: RemArtifact, storage_format: Optional[str] = None):
+    def save(self, artifact: RemArtifact) -> Path:
         """Persist ``artifact`` under its digest; returns the payload path.
 
-        ``storage_format`` overrides the store default for this
-        artifact (``"npz"`` compressed, ``"npy"`` mmap-able); the
-        choice is recorded in the sidecar.  Saving an already-stored
-        digest is a no-op (content addressing: equal digests mean
-        equal bytes) and returns the existing payload path whatever
-        its format.
+        Saving an already-stored digest is a no-op (content addressing:
+        equal digests mean equal bytes) and returns the existing
+        payload path, a legacy ``.npz`` archive included.
         """
-        fmt = storage_format or self.default_format
-        if fmt not in STORAGE_FORMATS:
-            raise ValueError(
-                f"unknown storage format {fmt!r}; choose from {STORAGE_FORMATS}"
-            )
         digest = artifact.digest
-        npz_path, sidecar_path = self._paths(digest)
+        sidecar_path = self._sidecar_path(digest)
         with self._lock:
             self._digest_cache = None
             if digest in self:
-                return npz_path if npz_path.exists() else self._npy_dir(digest)
+                return self._payload_path(digest)
             record = artifact.record()
-            if fmt == "npz":
-                payload_path = self._save_npz(artifact, npz_path)
-                record["storage"] = {"format": "npz"}
-            else:
-                payload_path = self._save_npy(artifact, digest)
-                layers: Dict[str, object] = {"rem": _layer_meta(artifact.rem)}
-                if artifact.uncertainty is not None:
-                    layers["unc"] = _layer_meta(artifact.uncertainty)
-                record["storage"] = {"format": "npy", "layers": layers}
+            layers: Dict[str, object] = {"rem": _layer_meta(artifact.rem)}
+            if artifact.uncertainty is not None:
+                layers["unc"] = _layer_meta(artifact.uncertainty)
+            record["storage"] = {"format": "npy", "layers": layers}
+            payload_path = self._save_npy(artifact, digest)
             tmp_sidecar = sidecar_path.with_suffix(".json.tmp")
             try:
                 tmp_sidecar.write_text(
@@ -267,20 +255,6 @@ class ArtifactStore:
                     tmp_sidecar.unlink()
         return payload_path
 
-    def _save_npz(self, artifact: RemArtifact, npz_path: Path) -> Path:
-        payload = _rem_npz_payload(artifact.rem, prefix="rem_")
-        if artifact.uncertainty is not None:
-            payload.update(_rem_npz_payload(artifact.uncertainty, prefix="unc_"))
-        tmp_npz = npz_path.with_suffix(".npz.tmp")
-        try:
-            with open(tmp_npz, "wb") as handle:
-                np.savez_compressed(handle, **payload)
-            os.replace(tmp_npz, npz_path)
-        finally:
-            if tmp_npz.exists():
-                tmp_npz.unlink()
-        return npz_path
-
     def _save_npy(self, artifact: RemArtifact, digest: str) -> Path:
         final_dir = self._npy_dir(digest)
         tmp_dir = self.root / f"{digest}.npy-tmp"
@@ -288,12 +262,16 @@ class ArtifactStore:
             shutil.rmtree(tmp_dir)
         tmp_dir.mkdir()
         try:
-            layers = [("rem_", artifact.rem)]
-            if artifact.uncertainty is not None:
-                layers.append(("unc_", artifact.uncertainty))
-            for prefix, rem in layers:
-                stack = np.ascontiguousarray(rem.field_tensor())
-                np.save(tmp_dir / _LAYER_FILES[prefix], stack, allow_pickle=False)
+            layers = {"rem": artifact.rem, "unc": artifact.uncertainty}
+            for name, rem in layers.items():
+                if rem is not None:
+                    stack = np.ascontiguousarray(rem.field_tensor())
+                    np.save(tmp_dir / _LAYER_FILES[name], stack, allow_pickle=False)
+            # A save that died between this rename and its sidecar write
+            # leaves an orphaned payload; rename(2) cannot replace a
+            # non-empty directory, so drop it first.
+            if final_dir.exists():
+                shutil.rmtree(final_dir)
             os.replace(tmp_dir, final_dir)
         finally:
             if tmp_dir.exists():
@@ -304,28 +282,25 @@ class ArtifactStore:
     def load(self, digest: str, mmap: bool = False) -> RemArtifact:
         """Rebuild the artifact stored under ``digest`` (KeyError if absent).
 
-        With ``mmap=True``, ``npy``-format artifacts come back backed
-        by read-only memory maps (``np.load(mmap_mode="r")``): pages
-        fault in on first touch and live in the shared page cache, so
-        concurrent worker processes serving the same artifact cost one
-        physical copy.  ``npz`` artifacts cannot be mapped (zip
-        archives) and always load eagerly.
+        With ``mmap=True`` the tensors come back backed by read-only
+        memory maps (``np.load(mmap_mode="r")``): pages fault in on
+        first touch and live in the shared page cache, so concurrent
+        worker processes serving the same artifact cost one physical
+        copy.  Legacy ``npz`` artifacts cannot be mapped (zip archives)
+        and always load eagerly.
         """
-        npz_path, sidecar_path = self._paths(digest)
-        if digest not in self:
-            raise KeyError(f"no artifact {digest!r} in {self.root}")
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        sidecar = self.sidecar(digest)
         storage = sidecar.get("storage", {"format": "npz"})
-        if storage.get("format") == "npy":
-            rem, uncertainty = self._load_npy(digest, storage, mmap)
-        else:
-            with np.load(npz_path) as data:
+        if storage["format"] == "npz":
+            with np.load(self._npz_path(digest)) as data:
                 rem = _rem_from_npz_payload(data, prefix="rem_")
                 uncertainty = (
                     _rem_from_npz_payload(data, prefix="unc_")
-                    if any(k.startswith("unc_") for k in data.files)
+                    if "unc_stack" in data.files
                     else None
                 )
+        else:
+            rem, uncertainty = self._load_npy(digest, storage["layers"], mmap)
         return RemArtifact(
             spec=RemJobSpec.from_dict(sidecar["spec"]),
             rem=rem,
@@ -333,25 +308,16 @@ class ArtifactStore:
             provenance=dict(sidecar.get("provenance", {})),
         )
 
-    def _load_npy(self, digest: str, storage: Dict, mmap: bool) -> tuple:
+    def _load_npy(self, digest: str, layers: Dict, mmap: bool) -> tuple:
         directory = self._npy_dir(digest)
         mode = "r" if mmap else None
-        layers = storage["layers"]
-        rem = _layer_from_meta(
-            layers["rem"],
-            np.load(directory / _LAYER_FILES["rem_"], mmap_mode=mode),
-        )
-        uncertainty = None
-        if "unc" in layers:
-            uncertainty = _layer_from_meta(
-                layers["unc"],
-                np.load(directory / _LAYER_FILES["unc_"], mmap_mode=mode),
+        maps = {
+            name: _layer_from_meta(
+                meta, np.load(directory / _LAYER_FILES[name], mmap_mode=mode)
             )
-        return rem, uncertainty
-
-    def get(self, digest: str) -> RemArtifact:
-        """Alias of :meth:`load` — the lookup half of the store API."""
-        return self.load(digest)
+            for name, meta in layers.items()
+        }
+        return maps["rem"], maps.get("unc")
 
     def sidecar(self, digest: str) -> Dict[str, object]:
         """The JSON sidecar record of one artifact (KeyError if absent).
@@ -360,10 +326,9 @@ class ArtifactStore:
         storage record without touching the tensors — what the report
         stage aggregates over.
         """
-        _, sidecar_path = self._paths(digest)
         if digest not in self:
             raise KeyError(f"no artifact {digest!r} in {self.root}")
-        return json.loads(sidecar_path.read_text(encoding="utf-8"))
+        return json.loads(self._sidecar_path(digest).read_text(encoding="utf-8"))
 
     def list(self) -> List[Dict[str, object]]:
         """Sidecar records of every stored artifact, sorted by digest."""

@@ -12,10 +12,10 @@ the unchanged handler stack over a shared address:
   inherit it, accepting from the shared queue (the classic pre-fork
   shape).
 
-Workers open artifacts through ``np.load(mmap_mode="r")`` over the
-store's ``npy`` layout (``RemService(..., mmap=True)``), so all N
-processes page the same physical copy of each map out of the page
-cache — memory stays flat as the worker count grows.
+Workers open artifacts through ``np.load(mmap_mode="r")``
+(``RemService(..., mmap=True)``), so all N processes page the same
+physical copy of each map out of the page cache — memory stays flat as
+the worker count grows.
 
 The parent is a **supervisor**: it spawns workers, waits for each to
 report ready, respawns any that die, and on SIGTERM/SIGINT drains

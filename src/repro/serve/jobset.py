@@ -43,7 +43,7 @@ from multiprocessing import get_context
 from multiprocessing.connection import wait as connection_wait
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .artifact import STORAGE_FORMATS, ArtifactStore
+from .artifact import ArtifactStore
 from .jobs import run_job
 from .spec import PREDICTOR_FACTORIES, RemJobSpec
 
@@ -312,9 +312,7 @@ def _execute_job(spec_dict: Dict[str, object], store: ArtifactStore) -> Dict:
     }
 
 
-def _worker_main(
-    conn, store_root: str, storage_format: str, cache_dir: Optional[str] = None
-) -> None:
+def _worker_main(conn, store_root: str, cache_dir: Optional[str] = None) -> None:
     """Worker-process loop: recv job dicts, build, send results.
 
     Spawn-safe by construction — everything arrives through the pipe
@@ -329,7 +327,7 @@ def _worker_main(
         from ..radio.scenario_cache import configure_default_cache
 
         configure_default_cache(disk_root=cache_dir)
-    store = ArtifactStore(store_root, default_format=storage_format)
+    store = ArtifactStore(store_root)
     while True:
         try:
             message = conn.recv()
@@ -358,17 +356,11 @@ def _worker_main(
 class _Worker:
     """Parent-side handle of one worker process."""
 
-    def __init__(
-        self,
-        ctx,
-        store_root: str,
-        storage_format: str,
-        cache_dir: Optional[str] = None,
-    ):
+    def __init__(self, ctx, store_root: str, cache_dir: Optional[str] = None):
         self.conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, store_root, storage_format, cache_dir),
+            args=(child_conn, store_root, cache_dir),
             daemon=True,
         )
         self.process.start()
@@ -439,9 +431,6 @@ class JobSetRunner:
         ``multiprocessing`` start method (``"spawn"`` by default —
         the safe-everywhere choice; ``"fork"`` starts faster where
         available).
-    storage_format:
-        Storage layout for fresh artifacts (store default when
-        ``None``); see :data:`~repro.serve.STORAGE_FORMATS`.
     """
 
     def __init__(
@@ -452,7 +441,6 @@ class JobSetRunner:
         max_failures: Optional[int] = None,
         progress: Optional[Callable[[JobSetProgress], None]] = None,
         start_method: str = "spawn",
-        storage_format: Optional[str] = None,
     ):
         if workers is not None and workers < 0:
             raise ValueError("workers must be >= 0")
@@ -460,18 +448,12 @@ class JobSetRunner:
             raise ValueError("timeout_s must be positive")
         if max_failures is not None and max_failures < 0:
             raise ValueError("max_failures must be >= 0")
-        fmt = storage_format or store.default_format
-        if fmt not in STORAGE_FORMATS:
-            raise ValueError(
-                f"unknown storage format {fmt!r}; choose from {STORAGE_FORMATS}"
-            )
         self.store = store
         self.workers = workers
         self.timeout_s = timeout_s
         self.max_failures = max_failures
         self.progress = progress
         self.start_method = start_method
-        self.storage_format = fmt
         self._workers: List[_Worker] = []
 
     # -- bookkeeping ---------------------------------------------------
@@ -633,10 +615,7 @@ class JobSetRunner:
 
     def _spawn_worker(self, ctx) -> _Worker:
         return _Worker(
-            ctx,
-            str(self.store.root),
-            self.storage_format,
-            cache_dir=str(self.store.root / "scenario_cache"),
+            ctx, str(self.store.root), cache_dir=str(self.store.root / "scenario_cache")
         )
 
     def _run_pool(self, pending, n_workers: int) -> bool:

@@ -281,9 +281,9 @@ class RemService:
             raise ValueError("capacity must be >= 1")
         self.store = store
         self.capacity = int(capacity)
-        #: Load ``npy``-format artifacts as read-only memory maps, so
-        #: concurrent worker processes share one page-cache copy (the
-        #: cluster workers run with ``mmap=True``).
+        #: Load artifacts as read-only memory maps, so concurrent
+        #: worker processes share one page-cache copy (the cluster
+        #: workers run with ``mmap=True``).
         self.mmap = bool(mmap)
         self._lock = threading.RLock()
         self._cache: "OrderedDict[str, RemArtifact]" = OrderedDict()

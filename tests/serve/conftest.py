@@ -8,12 +8,15 @@ tests that need a real build use the session-scoped ``tiny_spec``
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.dataset import REMDataset
 from repro.core.predictors import KnnRegressor
-from repro.core.rem import build_rem, build_uncertainty_rem
+from repro.core.rem import _rem_npz_payload, build_rem, build_uncertainty_rem
 from repro.radio.geometry import Cuboid
 from repro.serve import ArtifactStore, RemArtifact, RemJobSpec
 
@@ -51,6 +54,37 @@ def make_artifact(seed: int, n_macs: int = 3, n_samples: int = 120) -> RemArtifa
         uncertainty=uncertainty,
         provenance={"seed": seed, "samples": n_samples, "test_rmse_dbm": 1.0},
     )
+
+
+def save_legacy_npz(root, artifact: RemArtifact, sidecar_version: int) -> Path:
+    """Write ``artifact`` in the retired compressed store layout.
+
+    The tensors go into one ``<digest>.npz`` archive under ``rem_`` /
+    ``unc_`` keys.  A version-1 sidecar has no ``storage`` (or
+    ``dtype``) key; a version-2 one records ``{"format": "npz"}``.
+    """
+    payload = {}
+    for prefix, layer in (("rem_", artifact.rem), ("unc_", artifact.uncertainty)):
+        if layer is not None:
+            for key, value in _rem_npz_payload(layer).items():
+                payload[prefix + key] = value
+    npz_path = Path(root) / f"{artifact.digest}.npz"
+    np.savez_compressed(npz_path, **payload)
+    record = artifact.record()
+    if sidecar_version == 1:
+        record["format"] = 1
+        del record["dtype"]
+    else:
+        record["storage"] = {"format": "npz"}
+    (Path(root) / f"{artifact.digest}.json").write_text(
+        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    return npz_path
+
+
+def assert_mappable(store: ArtifactStore, digest: str) -> None:
+    """The stored tensors come back as a memory map, not a heap copy."""
+    assert isinstance(store.load(digest, mmap=True).rem._stack, np.memmap)
 
 
 @pytest.fixture(scope="session")

@@ -41,13 +41,6 @@ class TestSaveLoad:
         assert loaded.uncertainty is None
         assert loaded.content_hash() == artifact.content_hash()
 
-    def test_get_is_load(self, seeded_store, artifacts):
-        digest = artifacts[1].digest
-        assert (
-            seeded_store.get(digest).content_hash()
-            == seeded_store.load(digest).content_hash()
-        )
-
     def test_missing_digest_raises_keyerror(self, seeded_store):
         with pytest.raises(KeyError):
             seeded_store.load("0" * 64)

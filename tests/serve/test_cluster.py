@@ -24,7 +24,7 @@ pytestmark = pytest.mark.slow
 @pytest.fixture(scope="module")
 def cluster_store(tmp_path_factory):
     """A store with two mmap-able artifacts for cluster workers."""
-    store = ArtifactStore(tmp_path_factory.mktemp("cluster-store"), "npy")
+    store = ArtifactStore(tmp_path_factory.mktemp("cluster-store"))
     artifacts = [make_artifact(seed) for seed in (71, 72)]
     for artifact in artifacts:
         store.save(artifact)

@@ -5,6 +5,8 @@ import pytest
 import repro.core.pipeline as pipeline
 from repro.serve import ArtifactStore, RemJobSpec, run_job
 
+from tests.serve.conftest import assert_mappable
+
 
 @pytest.fixture(scope="module")
 def built(tiny_spec):
@@ -62,6 +64,7 @@ class TestRunJob:
         monkeypatch.setattr(pipeline, "run_campaign", counting)
         first = run_job(tiny_spec, store)
         assert not first.cache_hit
+        assert_mappable(store, first.digest)
         flights = calls["n"]
         assert flights >= 1
         second = run_job(tiny_spec, store)

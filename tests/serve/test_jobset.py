@@ -17,6 +17,8 @@ from repro.serve import (
 )
 from repro.serve.jobset import FAILED_LEDGER
 
+from tests.serve.conftest import assert_mappable
+
 #: Shared non-axis fields that keep every cell a sub-second build.
 TINY_BASE = {
     "active": {"seed_waypoints": 6, "batch_size": 6, "budget_waypoints": 6},
@@ -178,8 +180,6 @@ class TestInlineRunner:
             JobSetRunner(store, timeout_s=0)
         with pytest.raises(ValueError, match="max_failures"):
             JobSetRunner(store, max_failures=-1)
-        with pytest.raises(ValueError, match="storage format"):
-            JobSetRunner(store, storage_format="tar")
 
 
 class TestPoolRunner:
@@ -188,6 +188,8 @@ class TestPoolRunner:
         jobset = tiny_jobset(seeds=(1,))  # 2 jobs: keep spawn startup cheap
         result = run_jobset(jobset, store, workers=2, start_method="spawn")
         assert result.built == 2 and result.failed == 0
+        for digest in store.digests():
+            assert_mappable(store, digest)
         again = run_jobset(jobset, store, workers=2, start_method="spawn")
         assert again.cached == 2 and again.built == 0
 

@@ -12,6 +12,8 @@ from repro.serve import (
     request_from_dict,
 )
 
+from tests.serve.conftest import assert_mappable
+
 
 @pytest.fixture()
 def service(seeded_store):
@@ -116,7 +118,7 @@ class TestMmapService:
     def test_mmap_service_matches_eager(self, tmp_path, artifacts):
         from repro.serve import ArtifactStore
 
-        store = ArtifactStore(tmp_path, default_format="npy")
+        store = ArtifactStore(tmp_path)
         for artifact in artifacts:
             store.save(artifact)
         eager = RemService(store, capacity=4)
@@ -134,7 +136,7 @@ class TestFloat32Serving:
     def test_float32_artifact_served_within_tolerance(self, tmp_path, artifacts):
         from repro.serve import ArtifactStore
 
-        store = ArtifactStore(tmp_path, default_format="npy")
+        store = ArtifactStore(tmp_path)
         full = artifacts[0]
         half = full.astype("float32")
         store.save(half)
@@ -183,6 +185,7 @@ class TestLru:
         built = service.submit(tiny_spec)
         assert built.result is not None  # the caller still gets it
         assert service.artifact(built.digest).result is None
+        assert_mappable(service.store, built.digest)
 
 
 class TestRequestValidation:

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.serve import ArtifactStore
+
+from tests.serve.conftest import assert_mappable
 
 
 class TestParser:
@@ -348,6 +351,9 @@ class TestJobsAndServeCommands:
         store = str(tmp_path / "artifacts")
         assert main(["jobs", "run", "--store", store, *self.TINY_JOB]) == 0
         assert "(built)" in capsys.readouterr().out
+        built = ArtifactStore(store)
+        (digest,) = built.digests()
+        assert_mappable(built, digest)
         assert main(["jobs", "run", "--store", store, *self.TINY_JOB]) == 0
         out = capsys.readouterr().out
         assert "(cache hit)" in out
@@ -454,6 +460,10 @@ class TestSweepAndReportCommands:
         assert main([*base, *self.TINY_SWEEP]) == 0
         out = capsys.readouterr().out
         assert "4 built, 0 cached" in out
+        built = ArtifactStore(store)
+        assert built.count() == 4
+        for digest in built.digests():
+            assert_mappable(built, digest)
 
         assert main([*base, "--json", *self.TINY_SWEEP]) == 0
         envelope = json.loads(capsys.readouterr().out)
