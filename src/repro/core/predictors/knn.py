@@ -26,8 +26,17 @@ penalty per MAC — one small matrix instead of 73 wide ones.
 
 The grid search's :meth:`KnnRegressor.cv_predict` extends the sharing
 across configurations: one fit per fold, the distance matrix per ``p``,
-the global candidates per ``n_neighbors``, the per-MAC neighbor search
-per ``onehot_scale``, and only the final average per ``weights``.
+one tie-band pass per ``p`` that serves the global candidates of every
+``n_neighbors``, the neighbor search per ``onehot_scale``, and only the
+final average per ``weights``.
+
+There is one exact neighbor search, :meth:`KnnRegressor._neighbors`.
+It takes rows of any mix of MACs: each row's same-MAC candidates come
+from a padded column table, its other-MAC candidates from the global
+top-2k, and rows those cannot cover share one dense fallback.  Each
+row's candidates, values and order are those of a search over its MAC
+alone, so the query paths batch a whole chunk in one call while the
+lattice calls it once per MAC, and both agree bit for bit.
 """
 
 from __future__ import annotations
@@ -69,16 +78,38 @@ def _minkowski_distances(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     """Pairwise Minkowski-p distances between rows of ``a`` and ``b``."""
     if p == 2.0:
         return np.sqrt(_squared_distances(a, b))
-    diff = np.abs(a[:, None, :] - b[None, :, :])
-    return np.power(np.sum(np.power(diff, p), axis=2), 1.0 / p)
+    return _root(_powered_distances(a, b, p), p)
 
 
 def _powered_distances(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
-    """Pairwise Minkowski-p distances **raised to p** (monotone proxy)."""
+    """Pairwise Minkowski-p distances **raised to p** (monotone proxy).
+
+    The per-axis terms are summed left to right, the order of
+    ``np.sum(terms, axis=2)`` over the stacked ``(n, m, 3)`` block,
+    without allocating that block.  ``np.power(x, 1.0)`` returns ``x``
+    bit for bit, so p = 1 skips it.
+    """
     if p == 2.0:
         return _squared_distances(a, b)
-    diff = np.abs(a[:, None, :] - b[None, :, :])
-    return np.sum(np.power(diff, p), axis=2)
+    total = None
+    for axis in range(a.shape[1]):
+        term = np.abs(a[:, axis, None] - b[None, :, axis])
+        if p != 1.0:
+            np.power(term, p, out=term)
+        if total is None:
+            total = term
+        else:
+            total += term
+    return total
+
+
+def _root(powered: np.ndarray, p: float) -> np.ndarray:
+    """Undo the ``p``-th power of :func:`_powered_distances`."""
+    if p == 2.0:
+        return np.sqrt(powered)
+    if p == 1.0:
+        return powered
+    return np.power(powered, 1.0 / p)
 
 
 #: Relative tolerance for k-th-neighbor boundary ties.  Values this
@@ -102,8 +133,7 @@ def _stable_topk(powered: np.ndarray, k: int):
     if k >= m:
         idx = np.broadcast_to(np.arange(m), powered.shape)
         return idx, powered
-    part = np.argpartition(powered, k - 1, axis=1)[:, :k]
-    thresh = np.take_along_axis(powered, part, axis=1).max(axis=1, keepdims=True)
+    thresh = np.partition(powered, k - 1, axis=1)[:, k - 1 : k]
     eps = _TIE_RTOL * thresh + 1e-15
     less = powered < thresh - eps
     need = k - less.sum(axis=1, keepdims=True)
@@ -111,6 +141,41 @@ def _stable_topk(powered: np.ndarray, k: int):
     mask = less | (tied & (np.cumsum(tied, axis=1) <= need))
     idx = np.nonzero(mask)[1].reshape(n, k)
     return idx, np.take_along_axis(powered, idx, axis=1)
+
+
+def _global_candidates(base: np.ndarray, widths: Sequence[int]):
+    """``_stable_topk(base, min(w, n_cols))`` for every ``w`` in ``widths``.
+
+    Every entry a top-w search can select lies at or below the w-th
+    smallest value plus its tie band, so none lies beyond the widest
+    width's band.  One full-row pass gathers that band per row (column
+    order kept, ``+inf`` pads after it); each width then searches only
+    the band.  The w-th smallest value, the ``less`` and ``tied`` sets
+    and their column order are those of the full row, so the result
+    equals a direct search bit for bit, near-ties included.  The band
+    is taken with twice the tie tolerance to absorb rounding.
+    """
+    n, m = base.shape
+    widths = [min(w, m) for w in widths]
+    widest = max(widths)
+    if widest >= m:
+        band_idx = np.broadcast_to(np.arange(m), base.shape)
+        band_pow = base
+    else:
+        thresh = np.partition(base, widest - 1, axis=1)[:, widest - 1 : widest]
+        inside = base <= thresh + 2.0 * (_TIE_RTOL * thresh + 1e-15)
+        rows, cols = np.nonzero(inside)
+        counts = inside.sum(axis=1)
+        slots = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        band_idx = np.zeros((n, int(counts.max())), dtype=int)
+        band_pow = np.full(band_idx.shape, np.inf)
+        band_idx[rows, slots] = cols
+        band_pow[rows, slots] = base[rows, cols]
+    found = []
+    for width in widths:
+        pick, width_pow = _stable_topk(band_pow, width)
+        found.append((np.take_along_axis(band_idx, pick, axis=1), width_pow))
+    return found
 
 
 def _inverse_distance_average(
@@ -392,13 +457,13 @@ class KnnRegressor(Predictor):
         """``(len(models), N)`` reductions of each model's exact neighbors.
 
         ``models`` hold this model's training arrays and differ only in
-        hyper-parameters.  Each level of work runs once per group of
-        models agreeing on the parameters it reads: the powered 3-D
-        distances per ``p``, the global candidates per ``(p,
-        n_neighbors)``, the per-MAC neighbor search per ``(p,
-        n_neighbors, onehot_scale)``; only ``reduce(model, neighbor_pow,
-        neighbor_y)`` runs per model.  ``models=[self]`` is the
-        single-model query loop.
+        hyper-parameters.  Each level of work runs once per chunk and
+        group of models agreeing on the parameters it reads: the powered
+        3-D distances per ``p``, the global candidates per ``(p,
+        n_neighbors)``, the row-batched neighbor search over the chunk's
+        mixed MACs per ``(p, n_neighbors, onehot_scale)``; only
+        ``reduce(model, neighbor_pow, neighbor_y)`` runs per model.
+        ``models=[self]`` is the single-model query loop.
         """
         assert self._train_targets is not None
         out = np.empty((len(models), len(points)))
@@ -406,27 +471,21 @@ class KnnRegressor(Predictor):
         for start in range(0, len(points), _GRID_CHUNK_ROWS):
             sl = slice(start, min(start + _GRID_CHUNK_ROWS, len(points)))
             chunk_macs = mac_indices[sl]
-            masks = [(int(mac), chunk_macs == mac) for mac in np.unique(chunk_macs)]
             chunk_out = out[:, sl]
             for same_p in _group_by(members, "p"):
                 base = _powered_distances(
                     points[sl], self._train_positions, same_p[0][1].p
                 )
-                for same_k in _group_by(same_p, "n_neighbors"):
-                    global_idx, global_pow = same_k[0][1]._global_candidates(base)
-                    by_scale = _group_by(same_k, "onehot_scale")
-                    for mac_index, rows in masks:
-                        query = (base[rows], global_idx[rows], global_pow[rows])
-                        for same_scale in by_scale:
-                            lead = same_scale[0][1]
-                            neighbor_idx, neighbor_pow = lead._neighbors_for_mac(
-                                *query, mac_index
-                            )
-                            neighbor_y = self._train_targets[neighbor_idx]
-                            for row, model in same_scale:
-                                chunk_out[row, rows] = reduce(
-                                    model, neighbor_pow, neighbor_y
-                                )
+                by_k = _group_by(same_p, "n_neighbors")
+                widths = [2 * same_k[0][1].n_neighbors for same_k in by_k]
+                for same_k, candidates in zip(by_k, _global_candidates(base, widths)):
+                    for same_scale in _group_by(same_k, "onehot_scale"):
+                        neighbor_idx, neighbor_pow = same_scale[0][1]._neighbors(
+                            base, *candidates, chunk_macs
+                        )
+                        neighbor_y = self._train_targets[neighbor_idx]
+                        for row, model in same_scale:
+                            chunk_out[row] = reduce(model, neighbor_pow, neighbor_y)
         return out
 
     def _grid_pass(
@@ -445,10 +504,10 @@ class KnnRegressor(Predictor):
         for start in range(0, len(points), _GRID_CHUNK_ROWS):
             sl = slice(start, min(start + _GRID_CHUNK_ROWS, len(points)))
             base = _powered_distances(points[sl], self._train_positions, self.p)
-            global_idx, global_pow = self._global_candidates(base)
+            (candidates,) = _global_candidates(base, [2 * self.n_neighbors])
             for row, mac_index in enumerate(macs):
-                neighbor_idx, neighbor_pow = self._neighbors_for_mac(
-                    base, global_idx, global_pow, int(mac_index)
+                neighbor_idx, neighbor_pow = self._neighbors(
+                    base, *candidates, np.full(len(base), mac_index)
                 )
                 neighbor_y = self._train_targets[neighbor_idx]
                 for out, reduce in zip(outs, reducers):
@@ -460,86 +519,88 @@ class KnnRegressor(Predictor):
                 del neighbor_y
         return outs
 
-    def _global_candidates(self, base: np.ndarray):
-        """Top-2k xyz neighbors regardless of MAC, shared across MACs."""
-        width = min(2 * self.n_neighbors, base.shape[1])
-        return _stable_topk(base, width)
-
-    def _neighbors_for_mac(
+    def _neighbors(
         self,
         base: np.ndarray,
         global_idx: np.ndarray,
         global_pow: np.ndarray,
-        mac_index: int,
+        row_macs: np.ndarray,
     ):
-        """Exact penalized top-k ``(idx, pow)`` of every row for one MAC.
-
-        Rows the candidate search cannot cover fall back to the dense
-        search over every training column.
-        """
-        assert self._train_targets is not None
-        penalty = 2.0 * self.onehot_scale**self.p
-        if penalty == 0.0 or global_pow.shape[1] >= len(self._train_targets):
-            return self._dense_neighbors(base, mac_index, penalty)
-        neighbor_idx, neighbor_pow, covered = self._candidate_neighbors_for_mac(
-            base, global_idx, global_pow, mac_index
-        )
-        if not covered.all():
-            rows = ~covered
-            fallback = self._dense_neighbors(base[rows], mac_index, penalty)
-            neighbor_idx[rows], neighbor_pow[rows] = fallback
-        return neighbor_idx, neighbor_pow
-
-    def _candidate_neighbors_for_mac(
-        self,
-        base: np.ndarray,
-        global_idx: np.ndarray,
-        global_pow: np.ndarray,
-        mac_index: int,
-    ):
-        """Exact penalized top-k ``(idx, pow, covered)`` for one MAC.
+        """Exact penalized top-k ``(idx, pow)`` of every row for its MAC.
 
         True penalized neighbors are either same-MAC (covered by the
-        per-MAC top-k over that MAC's training partition) or other-MAC
-        (covered by the global top-2k whenever it holds enough other-MAC
-        entries — rows where it does not, flagged ``covered=False``,
-        must fall back to the dense search).
+        top-k over the row's MAC partition) or other-MAC (covered by the
+        global top-2k whenever it holds enough other-MAC entries).  Rows
+        where it does not, and every row when the candidates cannot
+        help, fall back to the dense search over every training column.
+        Each row's candidates, values and order are those of a search
+        over that row's MAC alone, so rows of any MAC mix batch bit for
+        bit.
         """
         assert self._train_macs is not None and self._train_targets is not None
         n_train = len(self._train_targets)
-        k = min(self.n_neighbors, n_train)
         penalty = 2.0 * self.onehot_scale**self.p
+        if penalty == 0.0 or global_pow.shape[1] >= n_train:
+            return self._dense_neighbors(base, row_macs, penalty)
+        k = min(self.n_neighbors, n_train)
+        same_idx, same_pow, n_same = self._same_mac_candidates(base, row_macs, k)
 
-        columns = self._mac_columns.get(mac_index)
-        n_queries = len(base)
-        if columns is None or len(columns) == 0:
-            same_idx = np.empty((n_queries, 0), dtype=int)
-            same_pow = np.empty((n_queries, 0))
-        elif len(columns) <= k:
-            same_idx = np.broadcast_to(columns, (n_queries, len(columns)))
-            same_pow = base[:, columns]
-        else:
-            pick, same_pow = _stable_topk(base[:, columns], k)
-            same_idx = columns[pick]
-
-        other_mask = self._train_macs[global_idx] != mac_index
-        n_other = n_train - (0 if columns is None else len(columns))
-        covered = other_mask.sum(axis=1) >= min(k, n_other)
+        other_mask = self._train_macs[global_idx] != row_macs[:, None]
+        covered = other_mask.sum(axis=1) >= np.minimum(k, n_train - n_same)
         other_pow = np.where(other_mask, global_pow + penalty, np.inf)
 
         cand_pow = np.concatenate([same_pow, other_pow], axis=1)
         cand_idx = np.concatenate([same_idx, global_idx], axis=1)
         pick, neighbor_pow = _stable_topk(cand_pow, k)
         neighbor_idx = np.take_along_axis(cand_idx, pick, axis=1)
-        return neighbor_idx, neighbor_pow, covered
+        if not covered.all():
+            rows = ~covered
+            fallback = self._dense_neighbors(base[rows], row_macs[rows], penalty)
+            neighbor_idx[rows], neighbor_pow[rows] = fallback
+        return neighbor_idx, neighbor_pow
 
-    def _dense_neighbors(self, base: np.ndarray, mac_index: int, penalty: float):
+    def _same_mac_candidates(self, base: np.ndarray, row_macs: np.ndarray, k: int):
+        """Each row's top-k ``(idx, pow, count)`` within its own MAC.
+
+        A padded ``(n_macs, width)`` column table gathers every row's
+        same-MAC distances at once; pads read ``+inf`` after the real
+        columns, so they are never selected and leave each row's column
+        order as it was.  Rows whose MAC has at most ``k`` columns take
+        all of them; the rest go through one :func:`_stable_topk`.
+        """
+        macs, inverse = np.unique(row_macs, return_inverse=True)
+        columns = [self._mac_columns.get(int(mac), ()) for mac in macs]
+        counts = np.array([len(c) for c in columns], dtype=int)
+        table = np.zeros((len(macs), int(counts.max())), dtype=int)
+        for row, mac_columns in enumerate(columns):
+            table[row, : len(mac_columns)] = mac_columns
+        n_same = counts[inverse]
+        if len(macs) == 1:
+            # One MAC (a lattice pass): a plain column gather, no pads.
+            cols = np.broadcast_to(table[0], (len(base), table.shape[1]))
+            vals = base[:, table[0]]
+        else:
+            cols = table[inverse]
+            vals = np.take_along_axis(base, cols, axis=1)
+            vals[np.arange(table.shape[1]) >= n_same[:, None]] = np.inf
+        big = n_same > k
+        if not big.any():
+            return cols[:, :k], vals[:, :k], n_same
+        if big.all():
+            pick, same_pow = _stable_topk(vals, k)
+            return np.take_along_axis(cols, pick, axis=1), same_pow, n_same
+        same_idx, same_pow = cols[:, :k], vals[:, :k]
+        pick, same_pow[big] = _stable_topk(vals[big], k)
+        same_idx[big] = np.take_along_axis(cols[big], pick, axis=1)
+        return same_idx, same_pow, n_same
+
+    def _dense_neighbors(self, base: np.ndarray, row_macs: np.ndarray, penalty: float):
         """Dense fallback: penalize every column, then top-k."""
         assert self._train_macs is not None and self._train_targets is not None
+        powered = base
         if penalty != 0.0:
-            powered = base + penalty * (self._train_macs != mac_index)
-        else:
-            powered = base
+            powered = penalty * (self._train_macs != row_macs[:, None])
+            powered += base
         return _stable_topk(powered, min(self.n_neighbors, len(self._train_targets)))
 
     def _weighted_average(
@@ -548,22 +609,14 @@ class KnnRegressor(Predictor):
         """Uniform or inverse-distance weighting over selected neighbors."""
         if self.weights == "uniform":
             return neighbor_y.mean(axis=1)
-        if self.p == 2.0:
-            neighbor_dist = np.sqrt(neighbor_pow)
-        else:
-            neighbor_dist = np.power(neighbor_pow, 1.0 / self.p)
-        return _inverse_distance_average(neighbor_dist, neighbor_y)
+        return _inverse_distance_average(_root(neighbor_pow, self.p), neighbor_y)
 
     def _std_from_neighbors(
         self, neighbor_pow: np.ndarray, neighbor_y: np.ndarray
     ) -> np.ndarray:
         """Disagreement + distance proxy over selected neighbors."""
         disagreement = neighbor_y.std(axis=1)
-        if self.p == 2.0:
-            neighbor_dist = np.sqrt(neighbor_pow)
-        else:
-            neighbor_dist = np.power(neighbor_pow, 1.0 / self.p)
-        mean_dist = neighbor_dist.mean(axis=1)
+        mean_dist = _root(neighbor_pow, self.p).mean(axis=1)
         sigma = self._train_target_std
         reach = sigma * mean_dist / (mean_dist + self.UNCERTAINTY_RANGE_M)
         return np.sqrt(disagreement**2 + reach**2)

@@ -33,6 +33,7 @@ them gracefully (stop accepting, finish in-flight requests, exit 0).
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 import signal
@@ -70,6 +71,26 @@ def process_rss_bytes(pid: Optional[int] = None) -> Optional[int]:
     return None
 
 
+def _release_free_heap() -> None:
+    """Return the free heap pages this process holds to the OS.
+
+    A worker forked after an in-process build inherits the supervisor's
+    freed-but-resident heap: glibc keeps freed memory mapped below its
+    trim threshold, and numpy's huge-page advice can back it with 2 MB
+    pages that copy-on-write duplicates whole.  Without the trim, a
+    worker's RSS depends on the supervisor's allocation history rather
+    than on what it serves.  ``malloc_trim`` is glibc's; elsewhere this
+    is a no-op.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):
+        return
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    trim(0)
+
+
 class _WorkerServer(RemHttpServer):
     """The per-worker server: drains in-flight requests on close."""
 
@@ -96,6 +117,7 @@ def _worker_main(
     Runs ``serve_forever`` on a thread so the main thread can sit on a
     signal-triggered event and call the (blocking) ``shutdown`` safely.
     """
+    _release_free_heap()
     service = RemService(
         ArtifactStore(store_root), capacity=capacity, mmap=True
     )

@@ -94,6 +94,12 @@ class RemHttpServer(ThreadingHTTPServer):
             socketserver.BaseServer.__init__(
                 self, listener.getsockname()[:2], _Handler
             )
+            # Every worker sharing the listener wakes for each connection
+            # and only one accept() wins.  A blocking accept() would park
+            # the losers' serve loop until the next connection, so a
+            # graceful shutdown could hang; non-blocking, they fail with
+            # BlockingIOError, which socketserver drops.
+            listener.setblocking(False)
             self.socket = listener
             self.server_address = listener.getsockname()[:2]
         self.service = service

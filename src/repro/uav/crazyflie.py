@@ -111,7 +111,10 @@ class Crazyflie:
             initial_position=self.config.start_position,
         )
         self._uwb_rng = streams.get(f"uav.{name}.uwb")
+        # Time owed to the measurement schedule, and the time since the
+        # last estimator step (the filter's prediction horizon).
         self._uwb_accum_s = 0.0
+        self._uwb_elapsed_s = 0.0
 
         # REM receiver.  Defaults to the ESP-01 Wi-Fi deck; any module
         # implementing set_position()/scan_duration_s plus a driver
@@ -201,12 +204,16 @@ class Crazyflie:
                 self.dynamics.clear_setpoint()
             # Dynamics + localization.
             self.dynamics.update(dt, self._rng)
+            # The remainder carries over, so a period that is not a
+            # multiple of the tick (TWR's 0.125 s) keeps its mean rate.
             self._uwb_accum_s += dt
+            self._uwb_elapsed_s += dt
             if self._uwb_accum_s >= uwb_period:
                 self.estimator.step(
-                    self._uwb_accum_s, self.dynamics.position, self._uwb_rng
+                    self._uwb_elapsed_s, self.dynamics.position, self._uwb_rng
                 )
-                self._uwb_accum_s = 0.0
+                self._uwb_accum_s -= uwb_period
+                self._uwb_elapsed_s = 0.0
             self.receiver_module.set_position(self.dynamics.position)
             # Power.
             current = self.battery.config.hover_current_ma

@@ -15,13 +15,20 @@ This module implements the position/velocity core of that filter:
 * nonlinear range (TWR) and range-difference (TDoA) updates with
   analytic Jacobians, Joseph-form covariance updates and innovation
   gating.
+
+The filter owns its arithmetic buffers.  ``x`` and ``P`` are updated in
+place, and the TDoA burst update works in scratch arrays kept per
+burst size, so the steady flight-control tick (the same m anchors
+every burst) allocates nothing but the solve's result.  Keep no
+reference to ``x`` or ``P`` across calls: copy them, or read
+:attr:`position` / :attr:`velocity`, which return copies.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +49,31 @@ class EkfConfig:
     initial_position_std: float = 1.0
     initial_velocity_std: float = 0.5
     gate_sigma: float = 4.0
+
+
+class _BurstBuffers:
+    """Scratch arrays, and the views the update reads, for ``m`` rows."""
+
+    def __init__(self, m: int):
+        self.delta = np.empty((2 * m, 3))
+        self.norms = np.empty(2 * m)
+        self.norms_col = self.norms[:, None]
+        self.norms_a, self.norms_b = self.norms[:m], self.norms[m:]
+        self.unit = np.empty((2 * m, 3))
+        self.unit_a, self.unit_b = self.unit[:m], self.unit[m:]
+        self.h = np.empty((m, 3))
+        self.h_t = self.h.T
+        self.predicted = np.empty(m)
+        self.innovation = np.empty(m)
+        self.pht = np.empty((6, m))
+        self.pht_pos = self.pht[:3]
+        self.S = np.empty((m, m))
+        self.S_diag = self.S.reshape(-1)[:: m + 1]
+        self.nu2 = np.empty(m)
+        self.bound = np.empty(m)
+        self.passed = np.empty(m, dtype=bool)
+        self.rhs = np.empty((m, 7))
+        self.rhs_innovation, self.rhs_pht = self.rhs[:, 0], self.rhs[:, 1:]
 
 
 class PositionVelocityEkf:
@@ -70,6 +102,12 @@ class PositionVelocityEkf:
         self._last_dt: Optional[float] = None
         self._F = np.eye(self.STATE_DIM)
         self._Q = np.zeros((self.STATE_DIM, self.STATE_DIM))
+        # Scratch for the in-place predict / update / symmetrize steps.
+        self._x_next = np.empty(self.STATE_DIM)
+        self._gain = np.empty(self.STATE_DIM)
+        self._FP = np.empty((self.STATE_DIM, self.STATE_DIM))
+        self._FPF = np.empty((self.STATE_DIM, self.STATE_DIM))
+        self._bursts: Dict[int, _BurstBuffers] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -104,8 +142,11 @@ class PositionVelocityEkf:
                 Q[i, i + 3] = Q[i + 3, i] = q * dt3 / 2.0
                 Q[i + 3, i + 3] = q * dt2
             self._last_dt = dt
-        self.x = self._F @ self.x
-        self.P = self._F @ self.P @ self._F.T + self._Q
+        F = self._F
+        np.copyto(self.x, np.matmul(F, self.x, out=self._x_next))
+        np.matmul(F, self.P, out=self._FP)
+        np.matmul(self._FP, F.T, out=self._FPF)
+        np.add(self._FPF, self._Q, out=self.P)
         self._symmetrize()
 
     # ------------------------------------------------------------------
@@ -153,14 +194,18 @@ class PositionVelocityEkf:
         )
         return self._scalar_update(measured_difference_m - predicted, h, sigma_m**2)
 
-    def update_tdoa_batch(
+    def update_tdoa_stacked(
         self,
-        anchors_a: np.ndarray,
-        anchors_b: np.ndarray,
+        stacked_anchors: np.ndarray,
         measured_differences_m: np.ndarray,
         sigma_m: float,
     ) -> int:
         """Ingest one TDoA packet burst as a joint vector measurement.
+
+        ``stacked_anchors`` is ``(2m, 3)`` — a-side rows first, then the
+        matching b-side rows — the zero-copy layout
+        :meth:`~repro.uwb.ranging.TdoaRanging.measure_stacked` serves
+        from its cache on the flight-control hot path.
 
         The burst's rows share one timestamp, so they are fused as a
         single m-dimensional linear-Gaussian update (``R = sigma^2 I``)
@@ -170,83 +215,77 @@ class PositionVelocityEkf:
         measurements.  Each row is still innovation-gated individually
         against its marginal variance before the joint solve, matching
         :meth:`update_tdoa`'s NLoS protection.  One small linear solve
-        replaces ~m scalar Joseph updates — the difference between the
-        flight simulation being EKF-bound or not.
+        replaces ~m scalar Joseph updates.
 
         Returns how many rows passed the gate.
-        """
-        a = np.asarray(anchors_a, dtype=float).reshape(-1, 3)
-        b = np.asarray(anchors_b, dtype=float).reshape(-1, 3)
-        z = np.asarray(measured_differences_m, dtype=float).reshape(-1)
-        if not len(z):
-            return 0
-        return self.update_tdoa_stacked(np.concatenate([a, b]), z, sigma_m)
-
-    def update_tdoa_stacked(
-        self,
-        stacked_anchors: np.ndarray,
-        measured_differences_m: np.ndarray,
-        sigma_m: float,
-    ) -> int:
-        """:meth:`update_tdoa_batch` over pre-stacked pair anchors.
-
-        ``stacked_anchors`` is ``(2m, 3)`` — a-side rows first, then the
-        matching b-side rows — the zero-copy layout
-        :meth:`~repro.uwb.ranging.TdoaRanging.measure_stacked` serves
-        from its cache on the flight-control hot path.
         """
         z = measured_differences_m
         m = len(z)
         if not m:
             return 0
-        p = self.x[:3]
+        buf = self._burst(m)
         # Distances and unit directions to both pair anchors in one
         # stacked pass (rows 0..m-1 are the a-side, m.. the b-side).
-        delta = p - stacked_anchors
-        norms = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+        np.subtract(self.x[:3], stacked_anchors, out=buf.delta)
+        norms = np.einsum("ij,ij->i", buf.delta, buf.delta, out=buf.norms)
+        np.sqrt(norms, out=norms)
         if norms.min() < 1e-6:
-            usable = (norms[:m] >= 1e-6) & (norms[m:] >= 1e-6)
+            usable = (buf.norms_a >= 1e-6) & (buf.norms_b >= 1e-6)
             keep = np.concatenate([usable, usable])
-            delta, norms = delta[keep], norms[keep]
             z = z[usable]
             m = len(z)
             if not m:
                 return 0
-        unit = delta / norms[:, None]
-        h = unit[m:] - unit[:m]  # (m, 3)
-        innovation = z - (norms[m:] - norms[:m])
+            full, buf = buf, self._burst(m)
+            np.copyto(buf.delta, full.delta[keep])
+            np.copyto(buf.norms, full.norms[keep])
+        np.divide(buf.delta, buf.norms_col, out=buf.unit)
+        h = np.subtract(buf.unit_b, buf.unit_a, out=buf.h)  # (m, 3)
+        predicted = np.subtract(buf.norms_b, buf.norms_a, out=buf.predicted)
+        innovation = np.subtract(z, predicted, out=buf.innovation)
         r_var = sigma_m * sigma_m
-        pht = self.P[:, :3] @ h.T  # (6, m)
-        S = h @ pht[:3]
-        S.flat[:: m + 1] += r_var
+        pht = np.matmul(self.P[:, :3], buf.h_t, out=buf.pht)  # (6, m)
+        S = np.matmul(h, buf.pht_pos, out=buf.S)
+        buf.S_diag += r_var
         # Marginal gate per row: nu_i^2 <= gate^2 S_ii.
-        passed = innovation * innovation <= (self.config.gate_sigma**2) * S.flat[
-            :: m + 1
-        ]
-        accepted = int(passed.sum())
+        passed = np.less_equal(
+            np.multiply(innovation, innovation, out=buf.nu2),
+            np.multiply(self.config.gate_sigma**2, buf.S_diag, out=buf.bound),
+            out=buf.passed,
+        )
+        accepted = int(np.count_nonzero(passed))
         if accepted < m:
             self.rejected_updates += m - accepted
             if not accepted:
                 return 0
-            h = h[passed]
+            # Indexed copies, not the smaller burst's buffers: the
+            # column subset of ``pht`` comes out Fortran-ordered, and
+            # that layout picks the BLAS kernels of the products below.
             pht = pht[:, passed]
             innovation = innovation[passed]
             S = S[np.ix_(passed, passed)]
+            buf = self._burst(accepted)
         # K = P H^T S^-1 applied without forming K: one solve covers
         # both the weighted innovations (first column) and the
         # covariance correction (the rest).  The downdate form is safe
         # here: S carries the full r_var I regularization, the result
         # is re-symmetrized, and every predict() re-inflates P with Q
         # — a long-run PSD test guards this path.
-        rhs = np.empty((accepted, 7))
-        rhs[:, 0] = innovation
-        rhs[:, 1:] = pht.T
-        solved = np.linalg.solve(S, rhs)
-        self.x += pht @ solved[:, 0]
-        self.P -= pht @ solved[:, 1:]
+        buf.rhs_innovation[...] = innovation
+        buf.rhs_pht[...] = pht.T
+        solved = np.linalg.solve(S, buf.rhs)
+        self.x += np.matmul(pht, solved[:, 0], out=self._gain)
+        self.P -= np.matmul(pht, solved[:, 1:], out=self._FP)
         self._symmetrize()
         self.accepted_updates += accepted
         return accepted
+
+    def _burst(self, m: int) -> _BurstBuffers:
+        """The scratch arrays for an ``m``-row burst, made on first use."""
+        buf = self._bursts.get(m)
+        if buf is None:
+            buf = self._bursts[m] = _BurstBuffers(m)
+        return buf
 
     # ------------------------------------------------------------------
     def _scalar_update(self, innovation: float, h: np.ndarray, r_var: float) -> bool:
@@ -280,4 +319,4 @@ class PositionVelocityEkf:
         return True
 
     def _symmetrize(self) -> None:
-        self.P = (self.P + self.P.T) / 2.0
+        np.divide(np.add(self.P, self.P.T, out=self._FPF), 2.0, out=self.P)

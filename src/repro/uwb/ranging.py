@@ -15,6 +15,12 @@ The LPS supports two modes (§II-B):
 
 Both models include optional NLoS excess-delay bias: a body or wall in
 the path stretches the first path, always *adding* range.
+
+:class:`TdoaRanging` owns the arrays of its whole-layout burst: the
+anchor distances and the noise blocks are drawn into buffers sized at
+construction, so the steady burst allocates nothing.  The differences
+:meth:`TdoaRanging.measure_stacked` returns for that burst are one of
+those buffers, overwritten by the next burst: copy them to keep them.
 """
 
 from __future__ import annotations
@@ -71,6 +77,21 @@ class TdoaMeasurement:
     difference_m: float
 
 
+class _NoiseBuffers:
+    """Scratch arrays for one burst: ``n`` values, ``n_biases`` NLoS draws."""
+
+    def __init__(self, n: int, n_biases: int):
+        self.draws = np.empty(n_biases)
+        self.hits = np.empty(n_biases, dtype=bool)
+        self.biases = np.empty(n_biases)
+        # A TDoA burst's a-side and b-side halves (n_biases = 2n).
+        self.biases_a, self.biases_b = self.biases[:n], self.biases[n:]
+        self.noise = np.empty(n)
+        self.values = np.empty(n)
+        #: Each TDoA pair's b-side anchor: the next one, wrapping around.
+        self.successor = np.roll(np.arange(n), -1)
+
+
 class _RangingBase:
     """Shared noise machinery for both ranging modes."""
 
@@ -78,24 +99,23 @@ class _RangingBase:
         self.layout = layout
         self.config = config or RangingConfig()
 
-    def _nlos_bias(self, rng: np.random.Generator) -> float:
-        cfg = self.config
-        if cfg.nlos_probability > 0 and rng.random() < cfg.nlos_probability:
-            return float(rng.uniform(0.0, cfg.nlos_bias_max_m))
-        return 0.0
+    def _nlos_bias_block(
+        self, rng: np.random.Generator, buffers: _NoiseBuffers
+    ) -> np.ndarray:
+        """One NLoS excess-delay draw per measurement, into ``buffers.biases``.
 
-    def _nlos_bias_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """One NLoS excess-delay draw per measurement, vectorized.
-
-        Like :meth:`_nlos_bias`, the uniform bias is only drawn for the
-        measurements whose Bernoulli gate fired.
+        One Bernoulli block gates the measurements, and the uniform
+        bias is only drawn for the measurements whose gate fired.
         """
         cfg = self.config
-        biases = np.zeros(count)
+        biases = buffers.biases
+        biases.fill(0.0)
         if cfg.nlos_probability <= 0:
             return biases
-        hits = rng.random(count) < cfg.nlos_probability
-        n_hits = int(hits.sum())
+        hits = np.less(
+            rng.random(out=buffers.draws), cfg.nlos_probability, out=buffers.hits
+        )
+        n_hits = int(np.count_nonzero(hits))
         if n_hits:
             biases[hits] = rng.uniform(0.0, cfg.nlos_bias_max_m, size=n_hits)
         return biases
@@ -131,10 +151,11 @@ class TwrRanging(_RangingBase):
         visible, true_ranges = self._visible_with_distances(p)
         if not visible:
             return []
+        count = len(visible)
         noisy = (
             true_ranges
-            + rng.normal(0.0, self.config.twr_sigma_m, size=len(visible))
-            + self._nlos_bias_block(rng, len(visible))
+            + rng.normal(0.0, self.config.twr_sigma_m, size=count)
+            + self._nlos_bias_block(rng, _NoiseBuffers(count, count))
         )
         return [
             TwrMeasurement(anchor=anchor, range_m=max(float(r), 0.0))
@@ -157,6 +178,10 @@ class TdoaRanging(_RangingBase):
     def __init__(self, layout: AnchorLayout, config: Optional[RangingConfig] = None):
         super().__init__(layout, config)
         self._pair_cache = None
+        count = len(layout)
+        self._delta = np.empty((count, 3))
+        self._distances = np.empty(count)
+        self._burst = _NoiseBuffers(count, 2 * count)
 
     def measure_all(
         self, position: Sequence[float], rng: np.random.Generator
@@ -183,11 +208,13 @@ class TdoaRanging(_RangingBase):
         :meth:`~repro.uwb.kalman.PositionVelocityEkf.update_tdoa_stacked`
         consumes without any per-call concatenation; for the common
         whole-layout-visible burst (indoor volumes are far smaller than
-        UWB range) it is a cached read-only array.
+        UWB range) it is a cached read-only array, and the differences
+        are a buffer the next burst overwrites.
         """
         p = np.asarray(position, dtype=float)
-        delta = self.layout.positions - p
-        distances = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+        delta = np.subtract(self.layout.positions, p, out=self._delta)
+        distances = np.einsum("ij,ij->i", delta, delta, out=self._distances)
+        np.sqrt(distances, out=distances)
         if len(distances) >= 2 and distances.max() <= self.config.max_range_m:
             return self._all_anchor_pairs(), self._noisy_differences(
                 distances, rng
@@ -229,23 +256,30 @@ class TdoaRanging(_RangingBase):
     ) -> np.ndarray:
         """Noisy db - da for consecutive (wrap-around) anchor pairs.
 
-        One noise block per term: Gaussian timestamping noise plus the
-        two independent NLoS biases of each pair's anchors (drawn as
-        one 2*count block, split between the a- and b-side).  The fast
+        One noise block per term: the two independent NLoS biases of
+        each pair's anchors (one 2*count block, split between the a- and
+        b-side), then Gaussian timestamping noise.  The fast
         cached-geometry path and the partial-visibility path both rely
-        on this single implementation for their RNG stream contract.
+        on this single implementation for their RNG stream contract:
+        ``random(2m)`` → ``uniform(hits)`` → ``normal(m)``.  A
+        whole-layout burst works in the buffers made at construction;
+        other sizes get fresh ones.
         """
         count = len(distances)
-        db = np.empty_like(distances)
-        db[:-1], db[-1] = distances[1:], distances[0]
-        biases = self._nlos_bias_block(rng, 2 * count)
-        return (
-            db
-            - distances
-            + rng.normal(0.0, self.config.tdoa_sigma_m, size=count)
-            + biases[:count]
-            - biases[count:]
-        )
+        buffers = self._burst
+        if count != len(buffers.values):
+            buffers = _NoiseBuffers(count, 2 * count)
+        out = np.take(distances, buffers.successor, out=buffers.values)
+        out -= distances
+        self._nlos_bias_block(rng, buffers)
+        # Generator.normal(0, s) draws loc + s * z from the same
+        # standard-normal stream; adding loc = 0.0 changes no sum below.
+        noise = rng.standard_normal(out=buffers.noise)
+        noise *= self.config.tdoa_sigma_m
+        out += noise
+        out += buffers.biases_a
+        out -= buffers.biases_b
+        return out
 
     @property
     def measurement_sigma_m(self) -> float:

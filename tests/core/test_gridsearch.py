@@ -13,6 +13,12 @@ from repro.core.predictors import (
     rmse,
 )
 from repro.core.predictors.gridsearch import _kfold_indices
+from repro.core.predictors.knn import (
+    _GRID_CHUNK_ROWS,
+    _global_candidates,
+    _powered_distances,
+    _stable_topk,
+)
 from tests.core.test_predictors import dataset_from_arrays
 
 #: p=1 and p=2, both weightings and both one-hot scales of the §III-B grid.
@@ -124,6 +130,45 @@ def per_config_legacy(train, validation, param_sets):
     )
 
 
+def sized_mac_data(rng, sizes, n_validation):
+    """Training MACs of the given sizes, validation rows over all of them."""
+    macs = np.repeat(np.arange(len(sizes)), sizes)
+    positions = rng.uniform(0, 5, size=(len(macs), 3))
+    rssi = -50.0 - 4.0 * positions[:, 0] - 2.0 * macs + rng.normal(0, 1.0, len(macs))
+    train = dataset_from_arrays(positions, macs, rssi)
+    query_macs = rng.integers(0, len(sizes), size=n_validation)
+    query_positions = rng.uniform(0, 5, size=(n_validation, 3))
+    validation = dataset_from_arrays(
+        query_positions, query_macs, np.zeros(n_validation), train.mac_vocabulary
+    )
+    return train, validation
+
+
+def search_both_ways(train, validation, params):
+    """One row-batched search over mixed MACs, and one search per MAC."""
+    model = KnnRegressor(**params).fit(train)
+    points, macs = validation.positions, validation.mac_indices
+    base = _powered_distances(points, model._train_positions, model.p)
+    ((global_idx, global_pow),) = _global_candidates(base, [2 * model.n_neighbors])
+    batched = model._neighbors(base, global_idx, global_pow, macs)
+    per_mac = tuple(np.empty_like(array) for array in batched)
+    for mac in np.unique(macs):
+        rows = macs == mac
+        found = model._neighbors(
+            base[rows], global_idx[rows], global_pow[rows], macs[rows]
+        )
+        per_mac[0][rows], per_mac[1][rows] = found
+    return batched, per_mac
+
+
+def covered_rows(train, validation, k):
+    """Rows whose global top-2k holds k other-MAC candidates (p = 2)."""
+    base = _powered_distances(validation.positions, train.positions, 2.0)
+    ((idx, _),) = _global_candidates(base, [2 * k])
+    other = train.mac_indices[idx] != validation.mac_indices[:, None]
+    return other.sum(axis=1) >= k
+
+
 def split(data, n_train):
     """The first ``n_train`` rows train, the rest validate."""
     return data.subset(np.arange(n_train)), data.subset(np.arange(n_train, len(data)))
@@ -167,6 +212,63 @@ class TestSharedCvPredict:
         train, validation = split(multi_mac_data(rng, duplicate_scans=True), 160)
         self.assert_equivalent(train, validation, list(MIXED_GRID))
 
+    def test_mac_sizes_around_k_in_one_chunk(self, rng):
+        # With k = 3 and 8, one chunk mixes rows whose MAC has fewer
+        # columns than k (they take all of them), exactly k, and more.
+        train, validation = sized_mac_data(rng, [1, 2, 3, 5, 8, 9, 40, 90], 400)
+        self.assert_equivalent(train, validation, list(MIXED_GRID))
+        for params in ({"n_neighbors": 3}, {"n_neighbors": 8, "p": 1.0}):
+            batched, per_mac = search_both_ways(train, validation, params)
+            assert np.array_equal(batched[0], per_mac[0])
+            assert np.array_equal(batched[1], per_mac[1])
+
+    def test_uncovered_rows_mixed_with_covered(self, rng):
+        # MAC 0 crowds one corner: its own queries there find only
+        # same-MAC global candidates and take the dense fallback, while
+        # every other query in the chunk is covered by the candidates.
+        train, validation = sized_mac_data(rng, [60, 50, 50, 50], 300)
+        positions = train.positions.copy()
+        positions[train.mac_indices == 0] = rng.uniform(0.0, 0.2, size=(60, 3))
+        train = dataset_from_arrays(
+            positions, train.mac_indices, train.rssi_dbm, train.mac_vocabulary
+        )
+        query_positions = validation.positions.copy()
+        query_positions[:40] = rng.uniform(0.0, 0.2, size=(40, 3))
+        query_macs = validation.mac_indices.copy()
+        query_macs[:40] = 0
+        validation = dataset_from_arrays(
+            query_positions, query_macs, validation.rssi_dbm, train.mac_vocabulary
+        )
+        for k in (3, 8):
+            covered = covered_rows(train, validation, k)
+            assert not covered[:40].any() and covered[40:].any()
+        self.assert_equivalent(train, validation, list(MIXED_GRID))
+        batched, per_mac = search_both_ways(train, validation, {"n_neighbors": 8})
+        assert np.array_equal(batched[0], per_mac[0])
+        assert np.array_equal(batched[1], per_mac[1])
+
+    def test_validation_longer_than_a_chunk(self, rng):
+        data = multi_mac_data(rng, n=240 + _GRID_CHUNK_ROWS + 300)
+        train, validation = split(data, 240)
+        assert len(validation) > _GRID_CHUNK_ROWS
+        grid = ParamGrid(n_neighbors=[3, 8], p=[1.0, 2.0], onehot_scale=[3.0])
+        self.assert_equivalent(train, validation, list(grid))
+
+    def test_near_ties_across_the_global_widths(self, rng):
+        # Scan positions repeated with ±1e-10-relative jitter: the tie
+        # bands of the top-6, top-16 and top-32 overlap rank boundaries.
+        data = multi_mac_data(rng, n=320, duplicate_scans=True)
+        jitter = rng.choice([-1e-10, 0.0, 1e-10], size=data.positions.shape)
+        data = dataset_from_arrays(
+            data.positions * (1.0 + jitter),
+            data.mac_indices,
+            data.rssi_dbm,
+            data.mac_vocabulary,
+        )
+        train, validation = split(data, 240)
+        grid = ParamGrid(n_neighbors=[3, 8, 16], p=[1.0, 2.0], onehot_scale=[1.0, 3.0])
+        self.assert_equivalent(train, validation, list(grid))
+
     def test_invalid_params_still_raise(self, rng):
         train, validation = split(multi_mac_data(rng), 180)
         with pytest.raises(ValueError, match="n_neighbors"):
@@ -183,6 +285,26 @@ class TestSharedCvPredict:
         )
         shared = IdwRegressor().cv_predict(train, validation, param_sets)
         assert np.array_equal(shared, expected)
+
+
+class TestGlobalCandidates:
+    """One band pass per row ≡ a direct ``_stable_topk`` per width."""
+
+    @pytest.mark.parametrize(
+        "widths", [[6, 16, 32], [1, 2, 3], [32], [150, 200, 400], [199]]
+    )
+    def test_each_width_equals_a_direct_search(self, rng, widths):
+        # A few distance levels, each split into near-ties inside and
+        # just outside the 1e-9 tie tolerance, so every width's
+        # boundary falls in a tie band that spans ranks.
+        levels = rng.integers(1, 6, size=(64, 200)).astype(float)
+        jitter = rng.choice([-2e-9, -5e-10, 0.0, 5e-10, 2e-9], size=levels.shape)
+        base = levels * (1.0 + jitter)
+        base[:8] = 1.0  # whole rows of exact ties
+        for width, (idx, powered) in zip(widths, _global_candidates(base, widths)):
+            direct_idx, direct_pow = _stable_topk(base, min(width, base.shape[1]))
+            assert np.array_equal(idx, direct_idx)
+            assert np.array_equal(powered, direct_pow)
 
 
 class TestSharedGridSearch:

@@ -10,6 +10,7 @@ from repro.core.predictors import (
     NotFittedError,
     PerMacKnnRegressor,
 )
+from repro.core.predictors.knn import _minkowski_distances, _powered_distances
 
 
 def dataset_from_arrays(positions, macs, rssi, vocabulary=None):
@@ -135,6 +136,34 @@ class TestKnn:
         assert clone.n_neighbors == 9
         assert clone.weights == "uniform"
         assert clone.get_params()["onehot_scale"] == 2.0
+
+
+class TestMinkowskiDistances:
+    """The per-axis sums equal the stacked ``np.sum(..., axis=2)`` formula."""
+
+    @staticmethod
+    def points(rng, n):
+        # Coordinates from 1e-300 to 1e300, zeros and duplicates included.
+        scale = 10.0 ** rng.integers(-300, 300, size=(n, 1))
+        points = rng.uniform(-1.0, 1.0, size=(n, 3)) * scale
+        points[::7] = 0.0
+        points[1::11] = points[0]
+        return points
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_powered_distances_bit_for_bit(self, rng, p):
+        a, b = self.points(rng, 300), self.points(rng, 400)
+        with np.errstate(over="ignore"):  # large coordinates overflow to inf
+            diff = np.abs(a[:, None, :] - b[None, :, :])
+            stacked = np.sum(np.power(diff, p), axis=2)
+            assert np.array_equal(_powered_distances(a, b, p), stacked)
+            assert np.array_equal(
+                _minkowski_distances(a, b, p), np.power(stacked, 1.0 / p)
+            )
+
+    def test_unit_power_is_an_identity(self, rng):
+        values = 10.0 ** rng.uniform(-300, 300, size=2_000_000)
+        assert np.array_equal(np.power(values, 1.0), values)
 
 
 class TestPerMacKnn:

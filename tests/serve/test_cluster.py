@@ -1,5 +1,6 @@
 """RemCluster: worker lifecycle, graceful drain, cluster ≡ single-process."""
 
+import ctypes
 import json
 import os
 import signal
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.serve import ArtifactStore, RemCluster, RemService, process_rss_bytes
+from repro.serve.cluster import _release_free_heap
 
 from tests.serve.conftest import make_artifact
 
@@ -170,6 +172,25 @@ class TestLifecycle:
                     assert served["macs"] == expected["macs"]
                 else:
                     assert served == expected
+
+
+class TestWorkerHeap:
+    @pytest.mark.skipif(
+        process_rss_bytes() is None
+        or not hasattr(ctypes.CDLL(None), "malloc_trim"),
+        reason="needs /proc and glibc",
+    )
+    def test_release_free_heap_returns_freed_pages(self):
+        # 64 KiB blocks come from the heap, below glibc's mmap threshold;
+        # the block allocated last pins the heap top, so free() alone
+        # keeps the freed pages resident.
+        blocks = [np.ones(8192) for _ in range(800)]
+        pin = np.ones(8192)
+        del blocks
+        before = process_rss_bytes()
+        _release_free_heap()
+        assert before - process_rss_bytes() > 20 * 2**20
+        assert pin.sum() == 8192
 
 
 class TestSupervisor:

@@ -321,3 +321,20 @@ class TestJobs:
         error = error_envelope(excinfo)
         assert error["code"] == "invalid_spec"
         assert "psychic" in error["message"]
+
+
+class TestAdoptedListener:
+    def test_lost_accept_race_does_not_block(self, http_store):
+        # A worker that wakes for a connection another worker accepted
+        # finds nothing to accept; its serve loop must not block there.
+        listener = socket.create_server(("127.0.0.1", 0))
+        try:
+            server = create_server(RemService(http_store), listener=listener)
+            attempt = threading.Thread(
+                target=server._handle_request_noblock, daemon=True
+            )
+            attempt.start()
+            attempt.join(timeout=2)
+            assert not attempt.is_alive()
+        finally:
+            listener.close()

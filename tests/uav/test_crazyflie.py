@@ -11,7 +11,7 @@ from repro.uav import app_protocol as proto
 from repro.uwb import corner_layout
 
 
-def make_uav(firmware=None, scenario=None, name="test"):
+def make_uav(firmware=None, scenario=None, name="test", **uav_config):
     scenario = scenario or build_demo_scenario(seed=11)
     firmware = firmware or FirmwareConfig.paper_modified()
     sim = Simulator()
@@ -24,7 +24,7 @@ def make_uav(firmware=None, scenario=None, name="test"):
         link,
         firmware,
         scenario.streams.fork(f"test.{name}"),
-        config=UavConfig(name=name, start_position=(0.3, 0.3, 0.0)),
+        config=UavConfig(name=name, start_position=(0.3, 0.3, 0.0), **uav_config),
     )
     return sim, radio, link, uav
 
@@ -76,6 +76,45 @@ class TestTakeoffAndFlight:
         spawn(sim, keep_alive())
         sim.run(until=8.0)
         assert np.linalg.norm(uav.estimated_position - uav.position) < 0.2
+
+
+class TestLocalizationRate:
+    @staticmethod
+    def steps_in_ten_seconds(mode):
+        sim, radio, link, uav = make_uav(localization_mode=mode)
+        radio.turn_on()
+        steps = []
+        step = uav.estimator.step
+
+        def counted_step(dt, *args):
+            steps.append(dt)
+            return step(dt, *args)
+
+        uav.estimator.step = counted_step
+
+        def keep_alive():
+            for _ in range(60):
+                link.station_send(proto.encode(proto.Goto(0.3, 0.3, 0.5)))
+                yield Timeout(0.2)
+
+        link.station_send(proto.encode(proto.Takeoff(0.5)))
+        spawn(sim, keep_alive())
+        sim.run(until=1.0)
+        assert uav.state is FlightState.FLYING
+        del steps[:]
+        sim.run(until=11.0)
+        return steps
+
+    def test_twr_steps_at_the_configured_cycle_rate(self):
+        steps = self.steps_in_ten_seconds("twr")
+        assert len(steps) == pytest.approx(80, abs=1)
+        # Each step predicts over the time since the previous one.
+        assert sum(steps) == pytest.approx(10.0, abs=0.2)
+
+    def test_tdoa_steps_every_control_tick(self):
+        steps = self.steps_in_ten_seconds("tdoa")
+        assert len(steps) == pytest.approx(250, abs=1)
+        assert set(steps) == {0.04}
 
 
 class TestWatchdogBehaviour:

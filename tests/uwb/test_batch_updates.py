@@ -25,6 +25,7 @@ class TestMeasureStacked:
         tdoa = TdoaRanging(layout, clean_config())
         position = (1.5, 1.2, 1.0)
         stacked, diffs = tdoa.measure_stacked(position, np.random.default_rng(7))
+        diffs = diffs.copy()  # the whole-layout burst buffer is reused
         records = tdoa.measure_all(position, np.random.default_rng(7))
         m = len(records)
         assert len(diffs) == m
@@ -60,9 +61,7 @@ class TestJointTdoaUpdate:
         a, b = (0.0, 0.0, 0.0), (3.74, 3.20, 2.10)
         joint = PositionVelocityEkf((1.0, 1.5, 1.0))
         scalar = PositionVelocityEkf((1.0, 1.5, 1.0))
-        accepted = joint.update_tdoa_batch(
-            np.array([a]), np.array([b]), np.array([0.4]), 0.2
-        )
+        accepted = joint.update_tdoa_stacked(np.array([a, b]), np.array([0.4]), 0.2)
         assert accepted == 1
         assert scalar.update_tdoa(a, b, 0.4, 0.2)
         np.testing.assert_allclose(joint.x, scalar.x, atol=1e-12)
@@ -120,3 +119,172 @@ class TestJointTdoaUpdate:
             if step % 100 == 0:
                 assert np.allclose(ekf.P, ekf.P.T, atol=1e-12)
                 assert np.linalg.eigvalsh(ekf.P).min() > -1e-9
+
+
+class _ReferenceTick:
+    """The three-call TDoA step as first written: every call allocates.
+
+    A test-local copy of ``ekf.predict`` → ``measure_stacked`` →
+    ``ekf.update_tdoa_stacked`` before the filter and the ranging model
+    kept their own buffers; the lean tick must match it bit for bit.
+    """
+
+    def __init__(self, layout, ranging, ekf_config, initial_position):
+        self.positions = np.array(layout.positions)
+        self.ranging = ranging
+        self.gate_sigma = ekf_config.gate_sigma
+        self.accel_noise_std = ekf_config.accel_noise_std
+        self.x = np.zeros(6)
+        self.x[:3] = initial_position
+        p0 = ekf_config.initial_position_std**2
+        v0 = ekf_config.initial_velocity_std**2
+        self.P = np.diag([p0, p0, p0, v0, v0, v0])
+        self.accepted = self.rejected = 0
+        self.bursts = []
+
+    def step(self, dt, position, rng):
+        self.predict(dt)
+        stacked, diffs = self.measure(np.asarray(position, dtype=float), rng)
+        self.bursts.append(len(diffs))
+        self.update(stacked, diffs, self.ranging.tdoa_sigma_m)
+
+    def predict(self, dt):
+        F = np.eye(6)
+        F[0, 3] = F[1, 4] = F[2, 5] = dt
+        q = self.accel_noise_std**2
+        Q = np.zeros((6, 6))
+        for i in range(3):
+            Q[i, i] = q * dt**4 / 4.0
+            Q[i, i + 3] = Q[i + 3, i] = q * dt**3 / 2.0
+            Q[i + 3, i + 3] = q * (dt * dt)
+        self.x = F @ self.x
+        self.P = F @ self.P @ F.T + Q
+        self.P = (self.P + self.P.T) / 2.0
+
+    def measure(self, p, rng):
+        cfg = self.ranging
+        delta = self.positions - p
+        distances = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+        if distances.max() <= cfg.max_range_m:
+            visible = self.positions
+        else:
+            distances = np.sqrt(((self.positions - p) ** 2).sum(axis=1))
+            mask = distances <= cfg.max_range_m
+            visible, distances = self.positions[mask], distances[mask]
+            if len(visible) < 2:
+                return np.zeros((0, 3)), np.zeros(0)
+        count = len(distances)
+        db = np.empty_like(distances)
+        db[:-1], db[-1] = distances[1:], distances[0]
+        biases = np.zeros(2 * count)
+        hits = rng.random(2 * count) < cfg.nlos_probability
+        n_hits = int(hits.sum())
+        if n_hits:
+            biases[hits] = rng.uniform(0.0, cfg.nlos_bias_max_m, size=n_hits)
+        diffs = (
+            db
+            - distances
+            + rng.normal(0.0, cfg.tdoa_sigma_m, size=count)
+            + biases[:count]
+            - biases[count:]
+        )
+        return np.concatenate([visible, np.roll(visible, -1, axis=0)]), diffs
+
+    def update(self, stacked, z, sigma_m):
+        m = len(z)
+        if not m:
+            return
+        delta = self.x[:3] - stacked
+        norms = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+        if norms.min() < 1e-6:
+            usable = (norms[:m] >= 1e-6) & (norms[m:] >= 1e-6)
+            keep = np.concatenate([usable, usable])
+            delta, norms = delta[keep], norms[keep]
+            z = z[usable]
+            m = len(z)
+            if not m:
+                return
+        unit = delta / norms[:, None]
+        h = unit[m:] - unit[:m]
+        innovation = z - (norms[m:] - norms[:m])
+        pht = self.P[:, :3] @ h.T
+        S = h @ pht[:3]
+        S.flat[:: m + 1] += sigma_m * sigma_m
+        passed = innovation * innovation <= (self.gate_sigma**2) * S.flat[:: m + 1]
+        accepted = int(passed.sum())
+        if accepted < m:
+            self.rejected += m - accepted
+            if not accepted:
+                return
+            pht = pht[:, passed]
+            innovation = innovation[passed]
+            S = S[np.ix_(passed, passed)]
+        rhs = np.empty((accepted, 7))
+        rhs[:, 0] = innovation
+        rhs[:, 1:] = pht.T
+        solved = np.linalg.solve(S, rhs)
+        self.x += pht @ solved[:, 0]
+        self.P -= pht @ solved[:, 1:]
+        self.P = (self.P + self.P.T) / 2.0
+        self.accepted += accepted
+
+
+class TestLeanTick:
+    """``PositionEstimator.step`` ≡ the allocating three-call step."""
+
+    def run_both(self, layout, ranging, path, seed, start=None):
+        from repro.uwb.kalman import EkfConfig
+        from repro.uwb.localization import PositionEstimator
+
+        start = path[0] if start is None else start
+        lean = PositionEstimator(layout, ranging_config=ranging, initial_position=start)
+        reference = _ReferenceTick(layout, ranging, EkfConfig(), start)
+        lean_rng = np.random.default_rng(seed)
+        reference_rng = np.random.default_rng(seed)
+        for position in path:
+            lean.step(0.04, position, lean_rng)
+            reference.step(0.04, position, reference_rng)
+            assert np.array_equal(lean.ekf.x, reference.x)
+            assert np.array_equal(lean.ekf.P, reference.P)
+        assert lean.ekf.accepted_updates == reference.accepted
+        assert lean.ekf.rejected_updates == reference.rejected
+        assert lean_rng.random() == reference_rng.random()
+        return reference
+
+    @staticmethod
+    def sweep(n, low, high):
+        """A Lissajous path through the room, corners included."""
+        t = np.linspace(0.0, 1.0, n)[:, None]
+        phase = np.array([7.0, 5.0, 3.0]) * 2 * np.pi * t
+        return low + (high - low) * (0.5 + 0.5 * np.sin(phase))
+
+    def test_nlos_gate_rejections(self, layout):
+        ranging = RangingConfig(nlos_probability=0.3, nlos_bias_max_m=2.0)
+        path = self.sweep(2500, np.array([0.3, 0.3, 0.3]), np.array([3.4, 2.9, 1.8]))
+        reference = self.run_both(layout, ranging, path, seed=3)
+        assert reference.rejected > 100
+        assert set(reference.bursts) == {len(layout)}
+
+    def test_partial_visibility(self, layout):
+        ranging = RangingConfig(max_range_m=3.6)
+        path = self.sweep(2500, np.array([-1.0, -1.0, 0.0]), np.array([4.7, 4.2, 2.1]))
+        reference = self.run_both(layout, ranging, path, seed=4)
+        sizes = set(reference.bursts)
+        assert len(layout) in sizes
+        assert len(sizes - {0, len(layout)}) >= 2
+
+    def test_tag_at_an_anchor(self, layout):
+        anchor = np.array(layout.positions[0])
+        path = np.repeat(anchor[None, :], 200, axis=0)
+        self.run_both(layout, RangingConfig(), path, seed=5, start=anchor)
+
+    def test_zero_sigma_is_singular(self, layout):
+        from repro.uwb.localization import PositionEstimator
+
+        estimator = PositionEstimator(
+            layout,
+            ranging_config=RangingConfig(tdoa_sigma_m=0.0),
+            initial_position=(1.0, 1.0, 1.0),
+        )
+        with pytest.raises(np.linalg.LinAlgError):
+            estimator.step(0.04, (1.2, 1.1, 1.0), np.random.default_rng(0))
