@@ -38,9 +38,10 @@ from repro.core.dataset import REMDataset
 from repro.core.predictors import KnnRegressor
 from repro.station import (
     ActiveSamplingConfig,
+    FleetConfig,
     plan_batch_mission,
-    run_active_campaign,
     run_campaign,
+    run_fleet_campaign,
     snake_order,
     waypoint_grid,
 )
@@ -133,8 +134,9 @@ def active_run(campaign_result, fixed_reference, probes):
         trajectory.append((round_.total_waypoints, rmse))
 
     start = time.perf_counter()
-    result = run_active_campaign(
+    result = run_fleet_campaign(
         scenario=scenario,
+        fleet=FleetConfig(n_drones=1),
         active=ActiveSamplingConfig(
             seed_waypoints=SEED_WAYPOINTS,
             batch_size=BATCH,

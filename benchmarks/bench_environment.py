@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.radio import build_demo_scenario, crossed_walls
-from repro.station import ActiveSamplingConfig, run_active_campaign
+from repro.station import ActiveSamplingConfig, FleetConfig, run_fleet_campaign
 from repro.wifi import ChannelSweepScanner
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
@@ -159,7 +159,8 @@ def test_scan_throughput(scenario):
 def test_active_campaign_wall_time():
     """End-to-end smoke campaign: the workload the engine accelerates."""
     t0 = time.perf_counter()
-    result = run_active_campaign(
+    result = run_fleet_campaign(
+        fleet=FleetConfig(n_drones=1),
         active=ActiveSamplingConfig(
             seed_waypoints=8, batch_size=8, budget_waypoints=16
         )

@@ -26,7 +26,7 @@ import sys
 from repro.core import build_rem
 from repro.core.predictors import KnnRegressor
 from repro.radio import BuildingSpec, build_scenario, generate_building
-from repro.station import ActiveSamplingConfig, run_active_campaign
+from repro.station import ActiveSamplingConfig, FleetConfig, run_fleet_campaign
 
 #: The city block: one spec per construction style.
 SPECS = [
@@ -85,7 +85,9 @@ def survey(spec: BuildingSpec, budget: int) -> str:
             n_neighbors=4, weights="distance", p=2.0, onehot_scale=3.0
         ),
     )
-    result = run_active_campaign(scenario=scenario, active=active)
+    result = run_fleet_campaign(
+        scenario=scenario, fleet=FleetConfig(n_drones=1), active=active
+    )
     rmse = (
         "n/a"
         if result.final_rmse_dbm is None

@@ -169,8 +169,8 @@ def render_active_trajectory(
 ) -> str:
     """ASCII learning curve of an active campaign.
 
-    ``rounds`` is a sequence of :class:`~repro.station.active
-    .ActiveRound`; pass the fixed lattice's RMSE as the reference to
+    ``rounds`` is a sequence of :class:`~repro.station.fleet
+    .FleetRound`; pass the fixed lattice's RMSE as the reference to
     mark the first round that beats it.
     """
     headers = ["round", "waypoints", "samples", "holdout RMSE (dB)", "mean std (dB)"]

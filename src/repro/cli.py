@@ -387,10 +387,8 @@ def _cmd_campaign(args) -> int:
     from .radio import build_scenario
     from .station import run_campaign
 
-    if args.fleet:
-        return _cmd_campaign_fleet(args)
-    if args.active:
-        return _cmd_campaign_active(args)
+    if args.fleet or args.active:
+        return _cmd_campaign_acquire(args)
     scenario = build_scenario(args.scenario, seed=args.seed)
     print(f"flying the {args.scenario!r} campaign (seed {args.seed})...")
     result = run_campaign(scenario=scenario)
@@ -407,56 +405,14 @@ def _cmd_campaign(args) -> int:
     return 0
 
 
-def _cmd_campaign_active(args) -> int:
-    from .analysis import render_active_trajectory
-    from .radio import build_scenario
-    from .station import ActiveSamplingConfig, run_active_campaign
-
-    if args.budget < 1:
-        print("--budget must be >= 1", file=sys.stderr)
-        return 2
-    if args.batch < 1:
-        print("--batch must be >= 1", file=sys.stderr)
-        return 2
-    scenario = build_scenario(args.scenario, seed=args.seed)
-    active = ActiveSamplingConfig(
-        seed_waypoints=min(12, args.budget),
-        batch_size=args.batch,
-        budget_waypoints=args.budget,
-        target_rmse_dbm=args.target_rmse,
-    )
-    print(
-        f"flying the {args.scenario!r} campaign with active sampling "
-        f"(seed {args.seed}, budget {args.budget} waypoints"
-        + (
-            f", target RMSE {args.target_rmse:.2f} dB)..."
-            if args.target_rmse is not None
-            else ")..."
-        )
-    )
-    result = run_active_campaign(scenario=scenario, active=active)
-    print(render_active_trajectory(result.rounds))
-    summary = result.summary()
-    print(
-        f"stopped: {result.stop_reason} after "
-        f"{result.waypoints_flown}/{args.budget} waypoints, "
-        f"{summary['total_samples']:.0f} samples, "
-        f"{summary['distinct_macs']:.0f} MACs"
-    )
-    if result.final_rmse_dbm is not None:
-        print(f"final holdout RMSE: {result.final_rmse_dbm:.3f} dB")
-    if args.output:
-        result.log.save_csv(args.output)
-        print(f"samples archived to {args.output}")
-    return 0
-
-
-def _cmd_campaign_fleet(args) -> int:
+def _cmd_campaign_acquire(args) -> int:
     from .analysis import render_active_trajectory
     from .radio import build_scenario
     from .station import ActiveSamplingConfig, FleetConfig, run_fleet_campaign
 
-    if args.fleet < 1:
+    # ``--active`` is the one-drone fleet.
+    n_drones = args.fleet or 1
+    if n_drones < 1:
         print("--fleet must be >= 1", file=sys.stderr)
         return 2
     if args.budget < 1:
@@ -472,11 +428,16 @@ def _cmd_campaign_fleet(args) -> int:
         budget_waypoints=args.budget,
         target_rmse_dbm=args.target_rmse,
     )
-    fleet = FleetConfig(n_drones=args.fleet, min_separation_m=args.separation)
+    fleet = FleetConfig(n_drones=n_drones, min_separation_m=args.separation)
+    details = [f"seed {args.seed}", f"budget {args.budget} waypoints"]
+    if args.target_rmse is not None:
+        details.append(f"target RMSE {args.target_rmse:.2f} dB")
+    if args.fleet:
+        details.append(f"separation {args.separation:g} m")
+    mode = f"a {n_drones}-drone fleet" if args.fleet else "active sampling"
     print(
-        f"flying the {args.scenario!r} campaign with a {args.fleet}-drone "
-        f"fleet (seed {args.seed}, budget {args.budget} waypoints, "
-        f"separation {args.separation:g} m)..."
+        f"flying the {args.scenario!r} campaign with {mode} "
+        f"({', '.join(details)})..."
     )
     result = run_fleet_campaign(scenario=scenario, fleet=fleet, active=active)
     print(render_active_trajectory(result.rounds))
@@ -492,7 +453,7 @@ def _cmd_campaign_fleet(args) -> int:
     print(
         f"stopped: {result.stop_reason} after "
         f"{result.waypoints_flown}/{args.budget} waypoints across "
-        f"{args.fleet} drone(s), {summary['total_samples']:.0f} samples, "
+        f"{n_drones} drone(s), {summary['total_samples']:.0f} samples, "
         f"{summary['distinct_macs']:.0f} MACs"
     )
     print(f"fleet makespan: {result.duration_s:.1f} s simulated")

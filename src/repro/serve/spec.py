@@ -62,7 +62,8 @@ class RemJobSpec:
     scenario: str = "condo"
     #: Master seed (scenario build + campaign RNG streams).
     seed: int = 63
-    #: ``"lattice"`` (the paper's fixed grid) or ``"active"``.
+    #: ``"lattice"`` (the paper's fixed grid), ``"active"`` (the
+    #: uncertainty-driven loop, one drone) or ``"fleet"`` (K drones).
     acquisition: str = "lattice"
     #: Predictor registry name (see :data:`PREDICTOR_FACTORIES`).
     predictor: str = "knn"

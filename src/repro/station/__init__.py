@@ -6,13 +6,7 @@ the per-UAV control loop (take-off → leg → scan with radio down → fetch
 test protocol.
 """
 
-from .active import (
-    ActiveCampaignResult,
-    ActiveRound,
-    ActiveSamplingConfig,
-    ActiveSamplingPlanner,
-    run_active_campaign,
-)
+from .active import ActiveSamplingConfig, ActiveSamplingPlanner
 from .campaign import CampaignConfig, CampaignResult, run_campaign
 from .client import BaseStationClient, ClientConfig, UavFlightReport
 from .endurance import EnduranceResult, run_endurance_test
@@ -45,11 +39,8 @@ from .storage import Sample, SampleLog
 from .waypoints import snake_order, split_between_uavs, spread_subset, waypoint_grid
 
 __all__ = [
-    "ActiveCampaignResult",
-    "ActiveRound",
     "ActiveSamplingConfig",
     "ActiveSamplingPlanner",
-    "run_active_campaign",
     "CampaignConfig",
     "CampaignResult",
     "run_campaign",

@@ -1,4 +1,4 @@
-"""Uncertainty-driven active sampling campaigns.
+"""Uncertainty-driven active sampling: the loop's tunables and planner.
 
 The paper flies a fixed 72-waypoint lattice and trains the REM
 afterwards (§III-A).  Since generation is *autonomous*, the fleet can
@@ -7,51 +7,33 @@ exploratory batch, refit online, score the remaining candidate
 waypoints by predictive uncertainty minus travel cost, fly the best
 batch, and repeat until an RMSE target or the waypoint budget fires.
 
-The loop composes the pieces that already exist:
+This module holds the two pieces that loop is made of:
 
-* candidates come from the same :func:`~.waypoints.waypoint_grid`
-  lattice the fixed campaign uses (so comparisons are apples to
-  apples), seeded by deterministic farthest-point
-  :func:`~.waypoints.spread_subset`;
-* each batch flies through :func:`~.campaign.run_campaign` with a
-  single-UAV :func:`~.mission.plan_batch_mission` — the same client,
-  radio-shutdown protocol and sample annotation as §II-C; every scan
-  inside those flights prices its sweep through the environment's
-  batched link-budget engine (one wall-set crossing pass per sweep);
-* scans feed an :class:`~.online.OnlineRemBuilder`, whose model's
-  batched :meth:`~repro.core.predictors.Predictor.uncertainty_grid`
-  scores the candidates (kriging variance natively, distance or
-  disagreement proxies elsewhere);
-* batch sizes respect the §III-A battery duty cycle via
-  :meth:`~repro.uav.battery.BatteryConfig.endurance_waypoints`, and
-  no-fly cuboids are excluded from the candidate set outright.
+* :class:`ActiveSamplingConfig` — seed/batch sizes, budget, stopping
+  rules, the candidate lattice (the fixed campaign's
+  :func:`~.waypoints.waypoint_grid`, so comparisons are apples to
+  apples), flight timing and the online builder's knobs;
+* :class:`ActiveSamplingPlanner` — deterministic farthest-point
+  seeding (:func:`~.waypoints.spread_subset`) and greedy
+  uncertainty-minus-travel batch selection, with no-fly cuboids
+  excluded from the candidate set outright.
+
+The loop itself is :func:`.fleet.run_fleet_campaign`: an
+``acquisition="active"`` campaign is its one-drone fleet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.predictors import Predictor
 from ..radio.geometry import Cuboid
-from ..radio.scenarios import DemoScenario, build_scenario
-from ..uav.battery import BatteryConfig
-from ..wifi.beacon import ScanRecord
-from .campaign import CampaignConfig, run_campaign
-from .mission import plan_batch_mission
-from .online import OnlineRemBuilder
-from .storage import SampleLog
-from .waypoints import snake_order, spread_subset, waypoint_grid
+from .waypoints import spread_subset
 
-__all__ = [
-    "ActiveSamplingConfig",
-    "ActiveSamplingPlanner",
-    "ActiveRound",
-    "ActiveCampaignResult",
-    "run_active_campaign",
-]
+__all__ = ["ActiveSamplingConfig", "ActiveSamplingPlanner"]
 
 
 @dataclass(frozen=True)
@@ -81,8 +63,8 @@ class ActiveSamplingConfig:
     lattice_margin_m: float = 0.25
     #: Cuboids the planner must never schedule a scan inside.
     no_fly: Tuple[Cuboid, ...] = ()
-    #: Battery model bounding single-flight batch sizes.
-    battery: BatteryConfig = field(default_factory=BatteryConfig)
+    #: Flight timing per waypoint; with each drone's battery pack
+    #: (:attr:`.fleet.FleetConfig.batteries`) it bounds a flight's batch.
     flight_leg_s: float = 4.0
     scan_window_s: float = 3.0
     #: Online-builder knobs (the refit cadence applies *within* a batch;
@@ -103,12 +85,22 @@ class ActiveSamplingConfig:
             raise ValueError("travel_weight_db_per_m must be >= 0")
         if self.patience_rounds < 0:
             raise ValueError("patience_rounds must be >= 0")
+        if min(self.lattice_nx, self.lattice_ny, self.lattice_nz) < 1:
+            raise ValueError("lattice dimensions must be >= 1")
+        if self.lattice_margin_m < 0:
+            raise ValueError("lattice_margin_m must be >= 0")
+        if self.flight_leg_s <= 0 or self.scan_window_s <= 0:
+            raise ValueError("flight_leg_s and scan_window_s must be positive")
+        if self.refit_every_scans < 1:
+            raise ValueError("refit_every_scans must be >= 1")
+        if not 0.0 <= self.holdout_fraction < 1.0:
+            raise ValueError("holdout_fraction must be in [0, 1)")
 
     # -- job-spec adapter (see repro.serve.spec) -----------------------
     #: Scalar tunables a JSON job spec can carry verbatim.  Everything
-    #: else — no-fly cuboids, the battery model, predictor factories —
-    #: is a live Python object and must stay at its default for a
-    #: config to be spec-representable.
+    #: else — no-fly cuboids, predictor factories — is a live Python
+    #: object and must stay at its default for a config to be
+    #: spec-representable.
     _JOB_FIELDS = (
         "seed_waypoints",
         "batch_size",
@@ -132,11 +124,11 @@ class ActiveSamplingConfig:
         """The JSON-safe field dict a :class:`~repro.serve.RemJobSpec` carries.
 
         Raises ``ValueError`` when a non-serializable field (``no_fly``,
-        ``battery``, ``predictor_factory``) differs from its default —
+        ``predictor_factory``) differs from its default —
         such configs cannot round-trip through a job spec.
         """
         reference = type(self)()
-        for name in ("no_fly", "battery", "predictor_factory"):
+        for name in ("no_fly", "predictor_factory"):
             if getattr(self, name) != getattr(reference, name):
                 raise ValueError(
                     f"active-sampling field {name!r} is not JSON-serializable "
@@ -181,67 +173,6 @@ class ActiveSamplingConfig:
         return cls(**coerced)
 
 
-@dataclass
-class ActiveRound:
-    """One acquisition round: what flew and what the map looked like."""
-
-    round_index: int
-    waypoints: np.ndarray
-    total_waypoints: int
-    samples_ingested: int
-    holdout_rmse_dbm: Optional[float]
-    #: Mean predictive std over the not-yet-flown candidates *after*
-    #: this round's refit (the signal the next selection maximizes).
-    mean_candidate_uncertainty_db: Optional[float]
-
-
-@dataclass
-class ActiveCampaignResult:
-    """Output of one full active campaign."""
-
-    scenario: DemoScenario
-    config: CampaignConfig
-    active: ActiveSamplingConfig
-    log: SampleLog
-    rounds: List[ActiveRound]
-    builder: OnlineRemBuilder
-    stop_reason: str
-    duration_s: float
-
-    @property
-    def waypoints_flown(self) -> int:
-        """Waypoints scanned across all rounds."""
-        return self.rounds[-1].total_waypoints if self.rounds else 0
-
-    @property
-    def final_rmse_dbm(self) -> Optional[float]:
-        """Holdout RMSE after the last refit."""
-        for round_ in reversed(self.rounds):
-            if round_.holdout_rmse_dbm is not None:
-                return round_.holdout_rmse_dbm
-        return None
-
-    def rmse_trajectory(self) -> List[Tuple[int, Optional[float]]]:
-        """(waypoints flown, holdout RMSE) per round — the learning curve."""
-        return [(r.total_waypoints, r.holdout_rmse_dbm) for r in self.rounds]
-
-    def summary(self) -> Dict[str, float]:
-        """Headline numbers of the run."""
-        return {
-            "waypoints_flown": float(self.waypoints_flown),
-            "budget_waypoints": float(self.active.budget_waypoints),
-            "total_samples": float(len(self.log)),
-            "distinct_macs": float(len(self.log.macs())),
-            "rounds": float(len(self.rounds)),
-            "final_rmse_dbm": (
-                float("nan")
-                if self.final_rmse_dbm is None
-                else self.final_rmse_dbm
-            ),
-            "duration_s": self.duration_s,
-        }
-
-
 class ActiveSamplingPlanner:
     """Greedy batch selection over a candidate lattice.
 
@@ -249,8 +180,9 @@ class ActiveSamplingPlanner:
     distance`` and builds each batch as a short tour: after every pick
     the travel cost re-anchors on the picked waypoint, so batches come
     out compact rather than scattered across the volume.  The tour is
-    a selection-time cost model; the campaign re-orders each batch as
-    a serpentine before flying (see ``run_active_campaign``).
+    a selection-time cost model: :func:`.fleet.plan_fleet_round`
+    re-orders each drone's share of a batch as a serpentine before it
+    flies.
     """
 
     def __init__(
@@ -341,214 +273,3 @@ class ActiveSamplingPlanner:
         batch = np.asarray(picked, dtype=int)
         self.mark_visited(batch)
         return batch
-
-
-# ----------------------------------------------------------------------
-def _fly_batch(
-    scenario: DemoScenario,
-    config: CampaignConfig,
-    active: ActiveSamplingConfig,
-    waypoints: np.ndarray,
-    log: SampleLog,
-    builder: OnlineRemBuilder,
-    flight_name: str,
-) -> float:
-    """Fly one batch through the standard campaign machinery.
-
-    Samples land in ``log`` and, grouped per scan, in ``builder``;
-    returns the simulated flight duration.  ``waypoints`` are flown in
-    the given order — the caller is responsible for making the order
-    flyable under the fixed 4-second legs (long hops mean the UAV
-    scans before it arrives, silently sampling the wrong place).
-    ``flight_name`` must be unique per batch — it keys the scenario's
-    RNG stream fork, so reusing a name would replay identical fading
-    draws every flight.
-    """
-    mission = plan_batch_mission(
-        waypoints,
-        flight_leg_s=active.flight_leg_s,
-        scan_window_s=active.scan_window_s,
-        uav_name=flight_name,
-    )
-    result = run_campaign(scenario=scenario, mission=mission, config=config)
-    by_scan: Dict[Tuple[str, int], List] = {}
-    for sample in result.log:
-        by_scan.setdefault((sample.uav_name, sample.waypoint_index), []).append(
-            sample
-        )
-    for key in sorted(by_scan):
-        samples = by_scan[key]
-        records = [
-            ScanRecord(
-                ssid=s.ssid, rssi_dbm=s.rssi_dbm, mac=s.mac, channel=s.channel
-            )
-            for s in samples
-        ]
-        builder.add_scan(samples[0].position, records)
-    log.extend(result.log)
-    return result.duration_s
-
-
-def run_active_campaign(
-    scenario: Optional[DemoScenario] = None,
-    config: Optional[CampaignConfig] = None,
-    active: Optional[ActiveSamplingConfig] = None,
-    round_callback: Optional[
-        Callable[[ActiveRound, OnlineRemBuilder], None]
-    ] = None,
-) -> ActiveCampaignResult:
-    """Run the full uncertainty-driven campaign loop.
-
-    Parameters
-    ----------
-    scenario:
-        RF world; built from ``config.scenario`` (the registry name)
-        when omitted — active campaigns work in every registered
-        scenario.
-    config:
-        Campaign tunables (firmware, radio, timing); its
-        ``acquisition`` field is ignored here (this *is* the active
-        path).
-    active:
-        Acquisition-loop tunables; defaults reproduce the demo setup.
-    round_callback:
-        Called after every round with the fresh :class:`ActiveRound`
-        and the builder (whose model is current); benchmarks use it to
-        score each intermediate map against ground truth without
-        replaying the campaign.
-
-    Stopping rules, checked after every round in this order: accuracy
-    (``target_rmse_dbm``), plateau (``patience_rounds`` rounds without
-    ``min_improvement_dbm``), budget (``budget_waypoints``), and
-    exhaustion of the candidate lattice.
-    """
-    config = config or CampaignConfig()
-    active = active or (
-        config.active if config.active is not None else ActiveSamplingConfig()
-    )
-    if config.acquisition != "lattice":
-        # Inner flights must take the plain path or they would recurse.
-        config = replace(config, acquisition="lattice")
-    if scenario is None:
-        scenario = build_scenario(config.scenario, seed=config.seed)
-
-    candidates = waypoint_grid(
-        scenario.flight_volume,
-        nx=active.lattice_nx,
-        ny=active.lattice_ny,
-        nz=active.lattice_nz,
-        margin=active.lattice_margin_m,
-    )
-    planner = ActiveSamplingPlanner(
-        candidates,
-        travel_weight_db_per_m=active.travel_weight_db_per_m,
-        no_fly=active.no_fly,
-    )
-    builder = OnlineRemBuilder(
-        predictor_factory=active.predictor_factory,
-        refit_every_scans=active.refit_every_scans,
-        holdout_fraction=active.holdout_fraction,
-        seed=active.builder_seed,
-    )
-    # One flight per batch: the battery bounds how big a batch can be.
-    max_batch = active.battery.endurance_waypoints(
-        flight_leg_s=active.flight_leg_s, scan_window_s=active.scan_window_s
-    )
-
-    log = SampleLog()
-    rounds: List[ActiveRound] = []
-    duration_s = 0.0
-    stop_reason = "budget"
-    best_rmse: Optional[float] = None
-    stale_rounds = 0
-
-    seed_batch = planner.seed_batch(min(active.seed_waypoints, max_batch))
-    # Every batch flies as a serpentine: the campaign's fixed 4-second
-    # legs assume short hops, and a scan commanded before the UAV
-    # arrives gets annotated wherever the UAV actually is — sampling
-    # the wrong place.  The planner's greedy tour is therefore only a
-    # selection-time travel-cost model; execution re-orders for flight.
-    batch_points = snake_order(planner.candidates[seed_batch])
-    round_index = 0
-    while True:
-        duration_s += _fly_batch(
-            scenario,
-            config,
-            active,
-            batch_points,
-            log,
-            builder,
-            flight_name=f"UAV-A/flight-{round_index:02d}",
-        )
-        snapshot = builder.refit_now()
-        rmse = snapshot.holdout_rmse_dbm if snapshot else None
-        remaining = planner.remaining_points
-        # One batched uncertainty pass per round serves both the round
-        # record and the next batch's selection scores below (the model
-        # and candidate pool do not change in between).
-        uncertainty: Optional[np.ndarray] = None
-        mean_uncertainty: Optional[float] = None
-        if builder.ready and len(remaining):
-            uncertainty = builder.uncertainty(remaining)
-            mean_uncertainty = float(uncertainty.mean())
-        total = (rounds[-1].total_waypoints if rounds else 0) + len(batch_points)
-        rounds.append(
-            ActiveRound(
-                round_index=round_index,
-                waypoints=batch_points,
-                total_waypoints=total,
-                samples_ingested=builder.samples_ingested,
-                holdout_rmse_dbm=rmse,
-                mean_candidate_uncertainty_db=mean_uncertainty,
-            )
-        )
-        round_index += 1
-        if round_callback is not None:
-            round_callback(rounds[-1], builder)
-
-        # --- stopping rules ------------------------------------------
-        if (
-            active.target_rmse_dbm is not None
-            and rmse is not None
-            and rmse <= active.target_rmse_dbm
-        ):
-            stop_reason = "target_rmse"
-            break
-        if active.patience_rounds > 0 and rmse is not None:
-            if best_rmse is None or rmse < best_rmse - active.min_improvement_dbm:
-                best_rmse, stale_rounds = rmse, 0
-            else:
-                stale_rounds += 1
-                if stale_rounds >= active.patience_rounds:
-                    stop_reason = "plateau"
-                    break
-        if total >= active.budget_waypoints:
-            stop_reason = "budget"
-            break
-        if planner.exhausted:
-            stop_reason = "lattice_exhausted"
-            break
-
-        # --- next batch ----------------------------------------------
-        if uncertainty is not None:
-            scores = uncertainty
-        else:
-            # No model yet (degenerate seed): keep exploring uniformly.
-            scores = np.zeros(len(remaining))
-        size = min(active.batch_size, max_batch, active.budget_waypoints - total)
-        # Travel cost anchors on the last waypoint actually flown
-        # (rounds store flown order), then the selected batch is
-        # re-serpentined for the short-hop flight constraint above.
-        batch = planner.select_batch(scores, batch_points[-1], size)
-        batch_points = snake_order(planner.candidates[batch])
-
-    return ActiveCampaignResult(
-        scenario=scenario,
-        config=config,
-        active=active,
-        log=log,
-        rounds=rounds,
-        builder=builder,
-        stop_reason=stop_reason,
-        duration_s=duration_s,
-    )

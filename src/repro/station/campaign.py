@@ -42,10 +42,9 @@ class CampaignConfig:
     #: Registered scenario name used when no scenario object is passed.
     scenario: str = "condo"
     #: Waypoint acquisition strategy: ``"lattice"`` flies the paper's
-    #: fixed grid; ``"active"`` runs the uncertainty-driven loop
-    #: (:func:`repro.station.active.run_active_campaign`); ``"fleet"``
-    #: runs that loop with K concurrent drones
-    #: (:func:`repro.station.fleet.run_fleet_campaign`).
+    #: fixed grid; ``"fleet"`` runs the uncertainty-driven loop
+    #: (:func:`repro.station.fleet.run_fleet_campaign`) with K
+    #: concurrent drones; ``"active"`` runs it with one drone.
     acquisition: str = "lattice"
     #: Acquisition-loop tunables for ``acquisition="active"`` and
     #: ``"fleet"`` (defaults applied there when left as ``None``).
@@ -165,9 +164,11 @@ def run_campaign(
         Fleet plan; the 72-waypoint / 2-UAV demo mission when omitted.
     config:
         Campaign tunables (firmware, localization mode, timing).  With
-        ``config.acquisition == "active"`` the call delegates to
-        :func:`repro.station.active.run_active_campaign` and returns an
-        :class:`~repro.station.active.ActiveCampaignResult` instead
+        ``config.acquisition`` ``"active"`` or ``"fleet"`` the call
+        delegates to :func:`repro.station.fleet.run_fleet_campaign` —
+        ``"active"`` with ``FleetConfig(n_drones=1)``, ``"fleet"`` with
+        ``config.fleet`` — and returns a
+        :class:`~repro.station.fleet.FleetCampaignResult` instead
         (``mission`` must then be omitted — the planner picks the
         waypoints).
     """
@@ -177,29 +178,23 @@ def run_campaign(
             f"unknown acquisition {config.acquisition!r}; "
             f"choose from {ACQUISITION_STRATEGIES}"
         )
-    if config.acquisition == "active":
+    if config.acquisition != "lattice":
         if mission is not None:
             raise ValueError(
-                "an explicit mission contradicts acquisition='active' "
+                "an explicit mission contradicts "
+                f"acquisition={config.acquisition!r} "
                 "(the planner chooses the waypoints)"
             )
-        from .active import run_active_campaign
-
-        return run_active_campaign(
-            scenario=scenario, config=config, active=config.active
-        )
-    if config.acquisition == "fleet":
-        if mission is not None:
-            raise ValueError(
-                "an explicit mission contradicts acquisition='fleet' "
-                "(the planner chooses the waypoints)"
-            )
-        from .fleet import run_fleet_campaign
+        from .fleet import FleetConfig, run_fleet_campaign
 
         return run_fleet_campaign(
             scenario=scenario,
             config=config,
-            fleet=config.fleet,
+            fleet=(
+                FleetConfig(n_drones=1)
+                if config.acquisition == "active"
+                else config.fleet
+            ),
             active=config.active,
         )
     if scenario is None:

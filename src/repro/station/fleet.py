@@ -1,17 +1,21 @@
-"""Multi-UAV fleet acquisition: partition, fly concurrently, merge.
+"""The acquisition loop: partition, fly concurrently, merge, refit.
 
 The paper collects its map with drones flown one at a time (§III-A's
-single shared Crazyradio).  Fleet acquisition keeps the uncertainty
--driven loop of :mod:`.active` but spends each round's waypoint batch
-across **K drones flying at once**:
+single shared Crazyradio).  :func:`run_fleet_campaign` is the one
+uncertainty-driven acquisition loop — seed → fly → refit → score →
+stop → select, with the tunables and planner of :mod:`.active` — and
+spends each round's waypoint batch across **K drones flying at once**.
+An ``acquisition="active"`` campaign is its one-drone fleet.
 
 1. **Partition** — the planner's greedy batch is split spatially with
    the balanced k-means strategy of :func:`.scheduler.partition_waypoints`
-   (each drone gets a compact, snake-ordered region tour), capped by
-   every drone's own :meth:`~repro.uav.battery.BatteryConfig
-   .endurance_waypoints`, and repaired against the pairwise
-   anti-collision separation (conflicting waypoints return to the
-   candidate pool).
+   (each drone gets a compact, snake-ordered region tour: the fixed
+   flight legs assume short hops, and a scan commanded before the UAV
+   arrives would be annotated at the wrong place), capped by every
+   drone's own :meth:`~repro.uav.battery.BatteryConfig
+   .endurance_waypoints` (the §III-A battery duty cycle), and repaired
+   against the pairwise anti-collision separation (conflicting
+   waypoints return to the candidate pool).
 2. **Fly** — all K tours run in *one* :class:`~repro.sim.kernel
    .Simulator` as interleaved client processes, each drone on its own
    radio address and its own name-keyed RNG stream fork.  Because
@@ -26,9 +30,8 @@ across **K drones flying at once**:
    the artifact built from it — is a pure function of the spec, no
    matter how the kernel or the OS interleaved the flights.
 
-With ``n_drones=1`` every step degenerates exactly to
-:func:`.active.run_active_campaign`: same waypoints, same RNG forks,
-same sample order, same artifact bytes (pinned by tests).
+With ``n_drones=1`` each step is trivial: one tour (the batch in
+serpentine order), no separation pairs, an identity merge.
 """
 
 from __future__ import annotations
@@ -81,9 +84,9 @@ _BATTERY_FIELDS = (
 def drone_name(index: int) -> str:
     """Fleet naming scheme: drone 0 is ``UAV-A``, drone 1 ``UAV-B``, ...
 
-    Drone 0 deliberately shares the single-UAV campaign's name (and
-    radio address and start pad), which is what makes a one-drone fleet
-    replay the active path's RNG stream forks exactly.
+    Drone 0 keeps the single-UAV campaign's name, radio address and
+    start pad, so an ``acquisition="active"`` campaign (the one-drone
+    fleet) forks its RNG streams under ``campaign.UAV-A/flight-NN``.
     """
     if not 0 <= index < 26:
         raise ValueError(f"drone index must be in [0, 26), got {index}")
@@ -94,7 +97,7 @@ def drone_name(index: int) -> str:
 class FleetConfig:
     """Tunables of a concurrent multi-drone acquisition fleet."""
 
-    #: Drones flying each round (1 degenerates to the active loop).
+    #: Drones flying each round (1 = ``acquisition="active"``).
     n_drones: int = 2
     #: Pairwise anti-collision distance enforced between simultaneous
     #: batch positions at planning time (0 disables the check).
@@ -103,8 +106,8 @@ class FleetConfig:
     #: means recharge waves queue (staggered charging).
     charging_slots: int = 1
     #: Wall time one recharge wave takes between rounds; the default 0
-    #: models instant battery swaps (and keeps a one-drone fleet's
-    #: duration identical to the single-UAV active campaign).
+    #: models instant battery swaps (so a campaign's duration is its
+    #: flight time alone).
     charge_time_s: float = 0.0
     #: Per-drone battery models; ``None`` gives every drone the default
     #: pack.  When set, must carry exactly ``n_drones`` entries.
@@ -494,9 +497,9 @@ def _ingest_scans(builder: OnlineRemBuilder, samples: Sequence[Sample]) -> int:
     """Feed the merged stream to the builder, one scan at a time.
 
     Scans are grouped by ``(uav_name, waypoint_index)`` in order of
-    first appearance in the merged stream — for a single drone this is
-    exactly the active loop's sorted-by-waypoint ingestion, so the
-    builder's holdout RNG draws line up sample for sample.
+    first appearance in the merged stream — for a single drone that is
+    waypoint order — so the builder's holdout RNG draws are a pure
+    function of the merged stream.
     """
     order: List[Tuple[str, int]] = []
     groups: Dict[Tuple[str, int], List[Sample]] = {}
@@ -609,16 +612,19 @@ def run_fleet_campaign(
     Parameters
     ----------
     scenario:
-        RF world; built from ``config.scenario`` when omitted.
+        RF world; built from ``config.scenario`` (the registry name)
+        when omitted — the loop works in every registered scenario.
     config:
-        Campaign tunables; its ``acquisition`` field is ignored here
-        (this *is* the fleet path).
+        Campaign tunables (firmware, radio, timing); its
+        ``acquisition`` field is ignored here (this *is* the
+        acquisition loop).
     fleet:
         Fleet shape (drone count, separation, batteries, charging);
-        falls back to ``config.fleet``, then to the defaults.
+        falls back to ``config.fleet``, then to the defaults.  Pass
+        ``FleetConfig(n_drones=1)`` for a single-UAV active campaign.
     active:
-        Acquisition-loop tunables (the fleet loop shares them with the
-        single-drone active path); falls back to ``config.active``.
+        Acquisition-loop tunables; falls back to ``config.active``,
+        then to the defaults.
     workers:
         ``0`` (default) interleaves all drones in one simulation
         kernel.  ``> 0`` flies each drone's tour in its own kernel in
@@ -627,11 +633,14 @@ def run_fleet_campaign(
         An execution knob only: it never enters specs or digests.
     round_callback:
         Called after every round with the fresh :class:`FleetRound`
-        and the builder (whose model is current).
+        and the builder (whose model is current); benchmarks use it to
+        score each intermediate map against ground truth without
+        replaying the campaign.
 
-    Stopping rules match :func:`.active.run_active_campaign`: target
-    RMSE, plateau, waypoint budget, lattice exhaustion — checked in
-    that order after every round.
+    Stopping rules, checked after every round in this order: accuracy
+    (``target_rmse_dbm``), plateau (``patience_rounds`` rounds without
+    ``min_improvement_dbm``), budget (``budget_waypoints``), and
+    exhaustion of the candidate lattice.
     """
     config = config or CampaignConfig()
     fleet = fleet or (
@@ -734,8 +743,7 @@ def run_fleet_campaign(
                 mean_candidate_uncertainty_db=mean_uncertainty,
             )
         )
-        # Travel cost re-anchors on the lead drone's last waypoint —
-        # with one drone this is the active loop's ``batch_points[-1]``.
+        # Travel cost re-anchors on the lead drone's last flown waypoint.
         for tour in plan.tours:
             if len(tour):
                 anchor = tour[-1]
@@ -744,7 +752,7 @@ def run_fleet_campaign(
         if round_callback is not None:
             round_callback(rounds[-1], builder)
 
-        # --- stopping rules (same order as the active loop) ----------
+        # --- stopping rules ------------------------------------------
         if (
             active.target_rmse_dbm is not None
             and rmse is not None

@@ -22,7 +22,7 @@ from repro.radio import (
     build_scenario,
     generate_building,
 )
-from repro.station import ActiveSamplingConfig, run_active_campaign
+from repro.station import ActiveSamplingConfig, FleetConfig, run_fleet_campaign
 
 #: The acceptance matrix: every template, two seeds each.
 TEMPLATE_SEEDS = [(template, seed) for template in TEMPLATES for seed in (3, 11)]
@@ -282,7 +282,9 @@ class TestToolchainRoundTrip:
                 n_neighbors=3, weights="distance"
             ),
         )
-        result = run_active_campaign(scenario=scenario, active=active)
+        result = run_fleet_campaign(
+            scenario=scenario, fleet=FleetConfig(n_drones=1), active=active
+        )
         assert result.waypoints_flown == 12
         assert len(result.log) > 0, "campaign collected no samples"
         builder = result.builder

@@ -123,6 +123,13 @@ class TestJobSetSpec:
         with pytest.raises(ValueError):
             JobSetSpec(scenarios=("not-a-world",))
 
+    def test_invalid_active_tunable_rejected_eagerly(self):
+        with pytest.raises(ValueError, match="refit_every_scans"):
+            JobSetSpec(
+                acquisitions=("active", "fleet"),
+                base={"active": {"refit_every_scans": 0}},
+            )
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown job-set field"):
             JobSetSpec.from_dict({"seedz": [1]})

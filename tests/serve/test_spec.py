@@ -113,6 +113,28 @@ class TestValidation:
         with pytest.raises(ValueError, match="active-sampling job field"):
             RemJobSpec(acquisition="active", active={"warp_drive": 1})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lattice_nx", 0),
+            ("lattice_nx", -2),
+            ("lattice_ny", 0),
+            ("lattice_nz", 0),
+            ("lattice_margin_m", -0.1),
+            ("flight_leg_s", 0),
+            ("scan_window_s", -1),
+            ("refit_every_scans", 0),
+            ("holdout_fraction", 1.5),
+            ("holdout_fraction", -0.1),
+        ],
+    )
+    @pytest.mark.parametrize("acquisition", ["active", "fleet"])
+    def test_active_fields_validated_at_spec_time(self, acquisition, field, value):
+        # A JobSetSpec expands its grid through RemJobSpec, so a bad
+        # tunable must fail here, not inside each cell's campaign.
+        with pytest.raises(ValueError, match=field.split("_")[0]):
+            RemJobSpec(acquisition=acquisition, active={field: value})
+
     def test_non_json_hyperparameter_rejected(self):
         with pytest.raises(ValueError, match="JSON-serializable"):
             RemJobSpec(

@@ -1,16 +1,21 @@
-"""Tests for the uncertainty-driven active sampling subsystem."""
+"""Tests for the uncertainty-driven active sampling subsystem.
+
+An active campaign is the one-drone fleet: the loop runs through
+:func:`repro.station.run_fleet_campaign` with ``FleetConfig(n_drones=1)``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.radio.geometry import Cuboid
 from repro.station import (
-    ActiveCampaignResult,
     ActiveSamplingConfig,
     ActiveSamplingPlanner,
     CampaignConfig,
-    run_active_campaign,
+    FleetCampaignResult,
+    FleetConfig,
     run_campaign,
+    run_fleet_campaign,
 )
 
 
@@ -104,12 +109,15 @@ QUICK_ACTIVE = ActiveSamplingConfig(
     budget_waypoints=14,
     refit_every_scans=6,
 )
+ONE_DRONE = FleetConfig(n_drones=1)
 
 
 class TestActiveCampaign:
     @pytest.fixture(scope="class")
     def result(self, demo_scenario):
-        return run_active_campaign(scenario=demo_scenario, active=QUICK_ACTIVE)
+        return run_fleet_campaign(
+            scenario=demo_scenario, fleet=ONE_DRONE, active=QUICK_ACTIVE
+        )
 
     def test_budget_respected(self, result):
         assert result.stop_reason == "budget"
@@ -143,14 +151,17 @@ class TestActiveCampaign:
             budget_waypoints=20,
             target_rmse_dbm=50.0,
         )
-        result = run_active_campaign(scenario=demo_scenario, active=generous)
+        result = run_fleet_campaign(
+            scenario=demo_scenario, fleet=ONE_DRONE, active=generous
+        )
         assert result.stop_reason == "target_rmse"
         assert result.waypoints_flown == 6
 
     def test_round_callback_sees_every_round(self, demo_scenario):
         seen = []
-        run_active_campaign(
+        run_fleet_campaign(
             scenario=demo_scenario,
+            fleet=ONE_DRONE,
             active=QUICK_ACTIVE,
             round_callback=lambda round_, builder: seen.append(
                 (round_.round_index, builder.ready)
@@ -164,7 +175,8 @@ class TestCampaignDispatch:
     def test_acquisition_active_dispatches(self, demo_scenario):
         config = CampaignConfig(acquisition="active", active=QUICK_ACTIVE)
         result = run_campaign(scenario=demo_scenario, config=config)
-        assert isinstance(result, ActiveCampaignResult)
+        assert isinstance(result, FleetCampaignResult)
+        assert result.fleet == ONE_DRONE
         assert result.waypoints_flown == QUICK_ACTIVE.budget_waypoints
 
     def test_unknown_acquisition_rejected(self):

@@ -1,12 +1,15 @@
-"""Fleet acquisition: config, K=1 degeneration, determinism, workers.
+"""Fleet acquisition: config, the one-drone golden pin, determinism, workers.
 
 The two contracts pinned here are the ones the serving layer builds on:
 
-* ``n_drones=1`` replays :func:`repro.station.run_active_campaign`
-  exactly — same samples in the same order, same duration, same RMSE;
+* ``n_drones=1`` (what ``acquisition="active"`` flies) reproduces the
+  recorded single-UAV campaign exactly — same samples in the same
+  order, same duration, same RMSE trajectory;
 * the merged sample stream is invariant under kernel interleaving and
   under the ``workers`` (one-OS-process-per-drone) execution mode.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -19,7 +22,6 @@ from repro.station import (
     FleetConfig,
     drone_name,
     merge_fleet_samples,
-    run_active_campaign,
     run_campaign,
     run_fleet_campaign,
 )
@@ -41,6 +43,25 @@ def assert_same_samples(log_a, log_b):
     assert len(log_a) == len(log_b)
     for a, b in zip(log_a, log_b):
         assert a == b
+
+
+def sample_digest(log) -> str:
+    """SHA-256 over every field of every sample, floats in hex."""
+    digest = hashlib.sha256()
+    for s in log:
+        floats = (s.timestamp_s, s.x, s.y, s.z, s.true_x, s.true_y, s.true_z)
+        row = (
+            s.uav_name,
+            int(s.waypoint_index),
+            *(float(v).hex() for v in floats),
+            s.ssid,
+            int(s.rssi_dbm),
+            s.mac,
+            int(s.channel),
+        )
+        digest.update(repr(row).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
 
 
 class TestFleetConfig:
@@ -108,9 +129,21 @@ class TestFleetConfig:
 
 
 class TestOneDroneDegeneratesToActive:
-    @pytest.fixture(scope="class")
-    def active_result(self, demo_scenario):
-        return run_active_campaign(scenario=demo_scenario, active=QUICK_ACTIVE)
+    """The single-UAV active campaign, pinned to recorded values.
+
+    The golden numbers were recorded from the dedicated single-drone
+    loop this one-drone fleet replaced; any drift in waypoints, RNG
+    stream forks, sample order or refits shows up here.
+    """
+
+    SAMPLES = 457
+    SAMPLE_SHA256 = "304bbbdced49a3450caceed702dd6a4f564620484612597413b6dba60f7109c9"
+    DURATION_S = 102.90000000000002
+    RMSE_TRAJECTORY = [
+        (6, 9.672581350103368),
+        (10, 9.03150639557586),
+        (12, 8.316901351412083),
+    ]
 
     @pytest.fixture(scope="class")
     def fleet_result(self, demo_scenario):
@@ -120,22 +153,16 @@ class TestOneDroneDegeneratesToActive:
             active=QUICK_ACTIVE,
         )
 
-    def test_identical_sample_stream(self, active_result, fleet_result):
-        assert_same_samples(active_result.log, fleet_result.log)
+    def test_identical_sample_stream(self, fleet_result):
+        assert len(fleet_result.log) == self.SAMPLES
+        assert sample_digest(fleet_result.log) == self.SAMPLE_SHA256
 
-    def test_identical_trajectory_and_duration(
-        self, active_result, fleet_result
-    ):
-        assert fleet_result.stop_reason == active_result.stop_reason
-        assert fleet_result.waypoints_flown == active_result.waypoints_flown
-        assert fleet_result.duration_s == pytest.approx(
-            active_result.duration_s
-        )
-        assert fleet_result.final_rmse_dbm == pytest.approx(
-            active_result.final_rmse_dbm
-        )
+    def test_identical_trajectory_and_duration(self, fleet_result):
+        assert fleet_result.stop_reason == "budget"
+        assert fleet_result.waypoints_flown == QUICK_ACTIVE.budget_waypoints
+        assert fleet_result.duration_s == pytest.approx(self.DURATION_S, rel=1e-12)
         assert fleet_result.rmse_trajectory() == pytest.approx(
-            active_result.rmse_trajectory()
+            self.RMSE_TRAJECTORY, rel=1e-9
         )
 
     def test_no_separation_drops_with_one_drone(self, fleet_result):

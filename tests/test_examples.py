@@ -46,7 +46,6 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "2-drone fleet" in out
         assert "round 0: tours" in out
-        assert "K=1 fleet ≡ active campaign: True" in out
         assert "archived" in out
 
     def test_rem_planning(self, capsys):

@@ -4,7 +4,20 @@ import importlib
 
 import pytest
 
-PACKAGES = ["repro", "repro.core", "repro.uav", "repro.uwb", "repro.sim", "repro.radio"]
+PACKAGES = [
+    "repro",
+    "repro.analysis",
+    "repro.core",
+    "repro.core.predictors",
+    "repro.link",
+    "repro.radio",
+    "repro.serve",
+    "repro.sim",
+    "repro.station",
+    "repro.uav",
+    "repro.uwb",
+    "repro.wifi",
+]
 
 
 @pytest.mark.parametrize("package", PACKAGES)

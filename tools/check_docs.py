@@ -15,7 +15,7 @@ installing the scientific stack:
 2. **Reference check** — every repo path (``src/...``,
    ``benchmarks/...py``, ``examples/...py``, ...) and every dotted
    module/attribute reference (``repro.radio.generator``,
-   ``station.active.run_active_campaign``) named in ``README.md`` or
+   ``station.fleet.run_fleet_campaign``) named in ``README.md`` or
    ``ARCHITECTURE.md`` must actually exist, so the docs cannot rot
    silently when modules move.
 
