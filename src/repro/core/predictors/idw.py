@@ -8,9 +8,10 @@ side (k-NN with k=∞ and distance weights is IDW with p=1).
 
 The lattice methods (:meth:`IdwRegressor.predict_mac_grid`,
 :meth:`IdwRegressor.uncertainty_grid` and
-:meth:`IdwRegressor.grid_layers`) share one per-MAC loop: each MAC's
-query-to-sample distance matrix is computed once and feeds both the
-Shepard estimate and the nearest-sample distance of the std proxy.
+:meth:`IdwRegressor.grid_layers`) share one pass: the distances from the
+queries to the distinct training positions are computed once, and each
+MAC's columns of that matrix feed both the Shepard estimate and the
+nearest-sample distance of the std proxy.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ class IdwRegressor(Predictor):
     def grid_layers(
         self, points: np.ndarray, mac_indices: Sequence[int]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Both layers from one distance matrix per MAC."""
+        """Both layers from one shared distance matrix."""
         return self._grid_pass(points, mac_indices)
 
     # ------------------------------------------------------------------
@@ -170,18 +171,29 @@ class IdwRegressor(Predictor):
     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
         """``(rss, std)`` ``(M, N)`` fields; a layer not asked for is ``None``.
 
-        Each MAC's distance matrix is computed unchunked, exactly as
-        :meth:`predict_points` computes it, so every row equals the
-        point methods on that MAC bit for bit.  MACs absent from
-        training get the global mean and the training target spread.
+        Every beacon of a scan shares the scan's position, so the
+        queried MACs' samples sit at far fewer distinct positions than
+        there are samples.  One unchunked distance matrix to those
+        positions is computed, and each MAC gathers its columns from
+        it: the same distances :meth:`predict_points` computes per
+        MAC, so every row equals the point methods bit for bit.  MACs
+        absent from training get the global mean and the training
+        target spread.
         """
         self._require_fitted()
         points, macs = self._coerce_grid_query(points, mac_indices)
         shape = (len(macs), len(points))
         rss_out: Optional[np.ndarray] = np.empty(shape) if rss else None
         std_out: Optional[np.ndarray] = np.empty(shape) if std else None
-        for row, mac_index in enumerate(macs):
-            cloud = self._per_mac.get(int(mac_index))
+        clouds = [self._per_mac.get(int(mac_index)) for mac_index in macs]
+        fitted = [cloud[0] for cloud in clouds if cloud is not None]
+        if fitted:
+            distinct, columns = np.unique(
+                np.concatenate(fitted), axis=0, return_inverse=True
+            )
+            distinct_distances = _distances(points, distinct)
+        start = 0
+        for row, cloud in enumerate(clouds):
             if cloud is None:
                 if rss_out is not None:
                     rss_out[row] = self._global_mean
@@ -189,7 +201,9 @@ class IdwRegressor(Predictor):
                     std_out[row] = self._train_target_std
                 continue
             positions, values = cloud
-            distances = _distances(points, positions)
+            stop = start + len(positions)
+            distances = distinct_distances[:, columns[start:stop]]
+            start = stop
             if rss_out is not None:
                 rss_out[row] = self._shepard(distances, values)
             if std_out is not None:

@@ -172,6 +172,14 @@ class RemJobSpec:
             raise ValueError(
                 f"job-spec fields must be JSON-serializable: {exc}"
             ) from None
+        # Build the predictor once, so an unknown or out-of-range
+        # hyper-parameter is a spec error, not a failed build.
+        try:
+            self.build_predictor()
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"invalid hyperparameters for predictor {self.predictor!r}: {exc}"
+            ) from None
 
     # ------------------------------------------------------------------
     # JSON round-trip and content addressing

@@ -112,7 +112,7 @@ class Crazyflie:
         )
         self._uwb_rng = streams.get(f"uav.{name}.uwb")
         # Time owed to the measurement schedule, and the time since the
-        # last estimator step (the filter's prediction horizon).
+        # last recorded estimator tick (the filter's prediction horizon).
         self._uwb_accum_s = 0.0
         self._uwb_elapsed_s = 0.0
 
@@ -164,7 +164,11 @@ class Crazyflie:
 
     @property
     def estimated_position(self) -> np.ndarray:
-        """The on-board EKF estimate (what annotates samples)."""
+        """The on-board EKF estimate (what annotates samples).
+
+        The control loop only records UWB ticks; this read runs the
+        ones still pending, so the estimate is current as of now.
+        """
         return self.estimator.position
 
     @property
@@ -209,7 +213,7 @@ class Crazyflie:
             self._uwb_accum_s += dt
             self._uwb_elapsed_s += dt
             if self._uwb_accum_s >= uwb_period:
-                self.estimator.step(
+                self.estimator.record(
                     self._uwb_elapsed_s, self.dynamics.position, self._uwb_rng
                 )
                 self._uwb_accum_s -= uwb_period

@@ -18,9 +18,11 @@ This module implements the position/velocity core of that filter:
 
 The filter owns its arithmetic buffers.  ``x`` and ``P`` are updated in
 place, and the TDoA burst update works in scratch arrays kept per
-burst size, so the steady flight-control tick (the same m anchors
-every burst) allocates nothing but the solve's result.  Keep no
-reference to ``x`` or ``P`` across calls: copy them, or read
+burst size, so the steady tick (the same m anchors every burst)
+allocates nothing but the solve's result.  The recursion runs one tick
+at a time; :class:`~repro.uwb.localization.PositionEstimator` calls it
+for a whole block of recorded ticks when its estimate is read.  Keep
+no reference to ``x`` or ``P`` across calls: copy them, or read
 :attr:`position` / :attr:`velocity`, which return copies.
 """
 

@@ -4,6 +4,18 @@
 consumes TWR or TDoA measurement batches.  The campaign uses its output
 to *annotate* REM samples with locations (the whole point of §II-B).
 
+The estimate never steers the simulated flight, so the estimator runs
+open loop: :meth:`PositionEstimator.record` only queues a tick, and a
+read of the estimate (:attr:`~PositionEstimator.position`,
+:meth:`~PositionEstimator.error_m`) first runs every pending tick as
+one block.  The TDoA block's measurements come from one
+:meth:`~repro.uwb.ranging.TdoaRanging.measure_stacked` call in
+per-tick draw order, and the filter recursion still runs tick by tick,
+so the estimate equals the tick-by-tick filter's bit for bit.  An error
+from a tick, such as the ``LinAlgError`` of a zero measurement sigma,
+surfaces at the next read.  :meth:`PositionEstimator.step` is the
+one-tick case: record, then read.
+
 :func:`evaluate_hovering_accuracy` reproduces the experiment behind the
 paper's quoted numbers — a tag hovering at a fixed point, filtered with
 an EKF against N anchors, reporting the mean 3-D error (the paper cites
@@ -105,6 +117,12 @@ class PositionEstimator:
         self.ekf = PositionVelocityEkf(initial_position, ekf_config)
         self._twr = TwrRanging(layout, self.ranging_config)
         self._tdoa = TdoaRanging(layout, self.ranging_config)
+        # Recorded ticks not yet run: the grow-only trace of their
+        # dt and true position, and the stream they draw from.
+        self._pending_dt = np.empty(64)
+        self._pending_positions = np.empty((64, 3))
+        self._pending_rng: Optional[np.random.Generator] = None
+        self._n_pending = 0
 
     # ------------------------------------------------------------------
     @property
@@ -116,34 +134,79 @@ class PositionEstimator:
 
     @property
     def position(self) -> np.ndarray:
-        """Current position estimate."""
+        """Current position estimate (runs the pending ticks first)."""
+        self._catch_up()
         return self.ekf.position
+
+    def record(
+        self, dt: float, true_position: Sequence[float], rng: np.random.Generator
+    ) -> None:
+        """Queue one tick: advance by ``dt``, then one measurement batch.
+
+        ``true_position`` (copied) is the ground-truth tag location the
+        simulated radio measurements are generated from, and ``rng``
+        the stream they are drawn from.  Nothing is drawn or filtered
+        until the estimate is read; every pending tick must share one
+        stream, so a different ``rng`` raises ``ValueError``.
+        """
+        n = self._n_pending
+        if n and rng is not self._pending_rng:
+            raise ValueError("pending ticks were recorded with a different rng")
+        if n == len(self._pending_dt):
+            self._pending_dt = np.resize(self._pending_dt, 2 * n)
+            self._pending_positions = np.resize(self._pending_positions, (2 * n, 3))
+        self._pending_dt[n] = dt
+        self._pending_positions[n] = true_position
+        self._pending_rng = rng
+        self._n_pending = n + 1
 
     def step(
         self, dt: float, true_position: Sequence[float], rng: np.random.Generator
     ) -> np.ndarray:
-        """Advance the filter by ``dt`` and ingest one measurement batch.
+        """:meth:`record` one tick, then read: returns the new estimate."""
+        self.record(dt, true_position, rng)
+        return self.position
 
-        ``true_position`` is the ground-truth tag location the simulated
-        radio measurements are generated from.  Returns the new estimate.
+    def _catch_up(self) -> None:
+        """Run every pending tick, in order, as one block.
+
+        The measurements of a TDoA block are drawn in one
+        :meth:`~repro.uwb.ranging.TdoaRanging.measure_stacked` call,
+        which keeps the per-tick draw order; the filter recursion then
+        runs tick by tick.  An error from a tick (such as the
+        ``LinAlgError`` of a zero measurement sigma) surfaces here, at
+        the read, and drops the rest of the block.
         """
-        self.ekf.predict(dt)
+        n = self._n_pending
+        if not n:
+            return
+        self._n_pending = 0
+        rng = self._pending_rng
+        self._pending_rng = None
+        dts = self._pending_dt[:n].tolist()
+        positions = self._pending_positions[:n]
+        # Bound on the instance, so a wrap on the class still sees
+        # every call.
+        ekf = self.ekf
+        predict = ekf.predict
         if self.mode == LocalizationMode.TWR:
-            for m in self._twr.measure_all(true_position, rng):
-                self.ekf.update_range(
-                    m.anchor.position, m.range_m, self.ranging_config.twr_sigma_m
-                )
-        else:
-            stacked, diffs = self._tdoa.measure_stacked(true_position, rng)
-            self.ekf.update_tdoa_stacked(
-                stacked, diffs, self.ranging_config.tdoa_sigma_m
-            )
-        return self.ekf.position
+            sigma = self.ranging_config.twr_sigma_m
+            for dt, position in zip(dts, positions):
+                predict(dt)
+                for m in self._twr.measure_all(position, rng):
+                    ekf.update_range(m.anchor.position, m.range_m, sigma)
+            return
+        update = ekf.update_tdoa_stacked
+        sigma = self.ranging_config.tdoa_sigma_m
+        stacked, diffs = self._tdoa.measure_stacked(positions, rng)
+        for dt, pairs, z in zip(dts, stacked, diffs):
+            predict(dt)
+            update(pairs, z, sigma)
 
     def error_m(self, true_position: Sequence[float]) -> float:
         """Euclidean error of the current estimate."""
         return float(
-            np.linalg.norm(self.ekf.position - np.asarray(true_position, dtype=float))
+            np.linalg.norm(self.position - np.asarray(true_position, dtype=float))
         )
 
 
@@ -173,8 +236,14 @@ def evaluate_hovering_accuracy(
 
     The tag wobbles around ``hover_position`` with small Gaussian jitter
     (a hovering Crazyflie is never perfectly still); errors are collected
-    after ``settle_s`` of filter convergence.
+    after ``settle_s`` of filter convergence, so ``settle_s`` must lie
+    in ``[0, duration_s)``.
     """
+    if not 0 <= settle_s < duration_s:
+        raise ValueError(
+            f"need 0 <= settle_s < duration_s, got settle_s={settle_s}, "
+            f"duration_s={duration_s}"
+        )
     estimator = PositionEstimator(
         layout,
         mode=mode,

@@ -16,11 +16,13 @@ The LPS supports two modes (§II-B):
 Both models include optional NLoS excess-delay bias: a body or wall in
 the path stretches the first path, always *adding* range.
 
-:class:`TdoaRanging` owns the arrays of its whole-layout burst: the
-anchor distances and the noise blocks are drawn into buffers sized at
-construction, so the steady burst allocates nothing.  The differences
-:meth:`TdoaRanging.measure_stacked` returns for that burst are one of
-those buffers, overwritten by the next burst: copy them to keep them.
+:meth:`TdoaRanging.measure_stacked` measures one burst or an ``(n, 3)``
+block of bursts, the pending ticks a
+:class:`~repro.uwb.localization.PositionEstimator` catches up on.  A
+block whose bursts all see the whole layout computes its geometry and
+noise arithmetic in one pass; its draws stay one burst at a time, in
+the same stream order as n single calls, because the NLoS draw has a
+data-dependent length.  Every call returns fresh arrays.
 """
 
 from __future__ import annotations
@@ -77,21 +79,6 @@ class TdoaMeasurement:
     difference_m: float
 
 
-class _NoiseBuffers:
-    """Scratch arrays for one burst: ``n`` values, ``n_biases`` NLoS draws."""
-
-    def __init__(self, n: int, n_biases: int):
-        self.draws = np.empty(n_biases)
-        self.hits = np.empty(n_biases, dtype=bool)
-        self.biases = np.empty(n_biases)
-        # A TDoA burst's a-side and b-side halves (n_biases = 2n).
-        self.biases_a, self.biases_b = self.biases[:n], self.biases[n:]
-        self.noise = np.empty(n)
-        self.values = np.empty(n)
-        #: Each TDoA pair's b-side anchor: the next one, wrapping around.
-        self.successor = np.roll(np.arange(n), -1)
-
-
 class _RangingBase:
     """Shared noise machinery for both ranging modes."""
 
@@ -99,22 +86,16 @@ class _RangingBase:
         self.layout = layout
         self.config = config or RangingConfig()
 
-    def _nlos_bias_block(
-        self, rng: np.random.Generator, buffers: _NoiseBuffers
-    ) -> np.ndarray:
-        """One NLoS excess-delay draw per measurement, into ``buffers.biases``.
+    def _nlos_biases(self, rng: np.random.Generator, biases: np.ndarray) -> np.ndarray:
+        """One NLoS excess-delay draw per measurement, into zeroed ``biases``.
 
         One Bernoulli block gates the measurements, and the uniform
         bias is only drawn for the measurements whose gate fired.
         """
         cfg = self.config
-        biases = buffers.biases
-        biases.fill(0.0)
         if cfg.nlos_probability <= 0:
             return biases
-        hits = np.less(
-            rng.random(out=buffers.draws), cfg.nlos_probability, out=buffers.hits
-        )
+        hits = rng.random(len(biases)) < cfg.nlos_probability
         n_hits = int(np.count_nonzero(hits))
         if n_hits:
             biases[hits] = rng.uniform(0.0, cfg.nlos_bias_max_m, size=n_hits)
@@ -155,7 +136,7 @@ class TwrRanging(_RangingBase):
         noisy = (
             true_ranges
             + rng.normal(0.0, self.config.twr_sigma_m, size=count)
-            + self._nlos_bias_block(rng, _NoiseBuffers(count, count))
+            + self._nlos_biases(rng, np.zeros(count))
         )
         return [
             TwrMeasurement(anchor=anchor, range_m=max(float(r), 0.0))
@@ -178,10 +159,6 @@ class TdoaRanging(_RangingBase):
     def __init__(self, layout: AnchorLayout, config: Optional[RangingConfig] = None):
         super().__init__(layout, config)
         self._pair_cache = None
-        count = len(layout)
-        self._delta = np.empty((count, 3))
-        self._distances = np.empty(count)
-        self._burst = _NoiseBuffers(count, 2 * count)
 
     def measure_all(
         self, position: Sequence[float], rng: np.random.Generator
@@ -201,33 +178,51 @@ class TdoaRanging(_RangingBase):
         ]
 
     def measure_stacked(self, position: Sequence[float], rng: np.random.Generator):
-        """One burst as ``(stacked_pair_anchors, differences)``.
+        """Bursts as ``(stacked_pair_anchors, differences)``.
 
-        ``stacked_pair_anchors`` is ``(2m, 3)`` — the m a-side anchors
-        followed by the m b-side anchors — exactly the layout
+        For one ``(3,)`` position, ``stacked_pair_anchors`` is
+        ``(2m, 3)`` — the m a-side anchors followed by the m b-side
+        anchors — exactly the layout
         :meth:`~repro.uwb.kalman.PositionVelocityEkf.update_tdoa_stacked`
-        consumes without any per-call concatenation; for the common
-        whole-layout-visible burst (indoor volumes are far smaller than
-        UWB range) it is a cached read-only array, and the differences
-        are a buffer the next burst overwrites.
+        consumes without any per-call concatenation, and
+        ``differences`` is ``(m,)``.  For the common whole-layout burst
+        (indoor volumes are far smaller than UWB range) the stacked
+        anchors are a cached read-only array.
+
+        An ``(n, 3)`` block of positions (n bursts in time order) gives
+        two length-n sequences, one entry per burst, and leaves the
+        stream exactly where n one-position calls would.  When every
+        burst sees the whole layout, the geometry and the noise
+        arithmetic run once over the block, and ``differences`` is one
+        ``(n, m)`` array; otherwise each burst is measured on its own.
         """
         p = np.asarray(position, dtype=float)
-        delta = np.subtract(self.layout.positions, p, out=self._delta)
-        distances = np.einsum("ij,ij->i", delta, delta, out=self._distances)
+        if p.ndim == 1:
+            stacked, differences = self._measure_block(p[None], rng)
+            return stacked[0], differences[0]
+        return self._measure_block(p, rng)
+
+    def _measure_block(self, p: np.ndarray, rng: np.random.Generator):
+        """:meth:`measure_stacked` of an ``(n, 3)`` block."""
+        delta = self.layout.positions - p[:, None]
+        distances = np.einsum("nij,nij->ni", delta, delta)
         np.sqrt(distances, out=distances)
-        if len(distances) >= 2 and distances.max() <= self.config.max_range_m:
-            return self._all_anchor_pairs(), self._noisy_differences(
+        if distances.shape[1] >= 2 and (distances <= self.config.max_range_m).all():
+            return [self._all_anchor_pairs()] * len(p), self._noisy_differences(
                 distances, rng
             )
-        visible, differences = self._measure_visible(position, rng)
+        if len(p) > 1:
+            bursts = [self._measure_block(row[None], rng) for row in p]
+            return [b[0][0] for b in bursts], [b[1][0] for b in bursts]
+        visible, differences = self._measure_visible(p[0], rng)
         m = len(differences)
         if not m:
-            return np.zeros((0, 3)), differences
+            return [np.zeros((0, 3))], [differences]
         stacked = np.empty((2 * m, 3))
         stacked[:m] = [a.position for a in visible]
         stacked[m:-1] = stacked[1:m]
         stacked[-1] = stacked[0]
-        return stacked, differences
+        return [stacked], [differences]
 
     def _all_anchor_pairs(self) -> np.ndarray:
         if self._pair_cache is None:
@@ -249,36 +244,39 @@ class TdoaRanging(_RangingBase):
         visible, distances = self._visible_with_distances(p)
         if len(visible) < 2:
             return visible, np.zeros(0)
-        return visible, self._noisy_differences(distances, rng)
+        return visible, self._noisy_differences(distances[None], rng)[0]
 
     def _noisy_differences(
         self, distances: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """Noisy db - da for consecutive (wrap-around) anchor pairs.
 
-        One noise block per term: the two independent NLoS biases of
-        each pair's anchors (one 2*count block, split between the a- and
-        b-side), then Gaussian timestamping noise.  The fast
-        cached-geometry path and the partial-visibility path both rely
-        on this single implementation for their RNG stream contract:
-        ``random(2m)`` → ``uniform(hits)`` → ``normal(m)``.  A
-        whole-layout burst works in the buffers made at construction;
-        other sizes get fresh ones.
+        ``distances`` is ``(n, count)``: n bursts over the same
+        ``count`` anchors.  Each burst draws one noise block per term,
+        in burst order: the two independent NLoS biases of each pair's
+        anchors (one 2*count block, split between the a- and b-side),
+        then Gaussian timestamping noise.  The whole-layout path and
+        the partial-visibility path both rely on this single
+        implementation for their RNG stream contract:
+        ``random(2m)`` → ``uniform(hits)`` → ``normal(m)`` per burst.
+        The draws have data-dependent lengths, so they stay one burst
+        at a time; the arithmetic then runs over the whole block.
         """
-        count = len(distances)
-        buffers = self._burst
-        if count != len(buffers.values):
-            buffers = _NoiseBuffers(count, 2 * count)
-        out = np.take(distances, buffers.successor, out=buffers.values)
+        n, count = distances.shape
+        biases = np.zeros((n, 2 * count))
+        noise = np.empty((n, count))
+        for burst_biases, burst_noise in zip(biases, noise):
+            self._nlos_biases(rng, burst_biases)
+            # Generator.normal(0, s) draws loc + s * z from the same
+            # standard-normal stream; adding loc = 0.0 changes no sum.
+            rng.standard_normal(out=burst_noise)
+        # Each pair's b-side anchor is the next one, wrapping around.
+        out = np.roll(distances, -1, axis=1)
         out -= distances
-        self._nlos_bias_block(rng, buffers)
-        # Generator.normal(0, s) draws loc + s * z from the same
-        # standard-normal stream; adding loc = 0.0 changes no sum below.
-        noise = rng.standard_normal(out=buffers.noise)
         noise *= self.config.tdoa_sigma_m
         out += noise
-        out += buffers.biases_a
-        out -= buffers.biases_b
+        out += biases[:, :count]
+        out -= biases[:, count:]
         return out
 
     @property

@@ -77,3 +77,29 @@ class TestIdw:
             preprocessed.test.rssi_dbm, baseline.predict(preprocessed.test)
         )
         assert idw_rmse < base_rmse
+
+
+class TestIdwGrid:
+    def test_grid_fields_equal_point_methods_bit_for_bit(self, rng):
+        # Scans: every beacon heard at a hover point shares its position,
+        # so 30 positions carry 4-8 MACs each (MAC 9 is never heard).
+        scan_positions = rng.uniform(0, 4, size=(30, 3))
+        positions, macs = [], []
+        for position in scan_positions:
+            heard = rng.choice(9, size=rng.integers(4, 9), replace=False)
+            positions.extend([position] * len(heard))
+            macs.extend(heard)
+        rssi = rng.uniform(-90.0, -40.0, size=len(macs))
+        vocabulary = tuple(f"aa:aa:aa:aa:aa:{i:02x}" for i in range(10))
+        data = dataset_from_arrays(positions, macs, rssi, vocabulary=vocabulary)
+        model = IdwRegressor(power=1.5).fit(data)
+        # Lattice-like queries plus exact hits on training positions.
+        points = np.concatenate([rng.uniform(-1, 5, size=(200, 3)), scan_positions[:5]])
+        grid_macs = [9, 3, 0, 8, 5]
+        rss, std = model.grid_layers(points, grid_macs)
+        for row, mac in enumerate(grid_macs):
+            per_mac = np.full(len(points), mac)
+            assert np.array_equal(rss[row], model.predict_points(points, per_mac))
+            assert np.array_equal(std[row], model.predict_points_std(points, per_mac))
+        assert np.array_equal(model.predict_mac_grid(points, grid_macs), rss)
+        assert np.array_equal(model.uncertainty_grid(points, grid_macs), std)

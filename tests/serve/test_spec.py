@@ -143,6 +143,31 @@ class TestValidation:
                 hyperparameters={"weights": object()},
             )
 
+    @pytest.mark.parametrize(
+        "predictor, hyperparameters",
+        [
+            ("idw", {"power": -1}),
+            ("knn", {"n_neighbors": 0}),
+            ("idw", {"bogus": 1}),
+            ("knn", {"n_neighbors": "three"}),
+            ("kriging", {"n_neighbors": 1}),
+        ],
+    )
+    def test_invalid_hyperparameters_rejected_at_spec_time(
+        self, predictor, hyperparameters
+    ):
+        with pytest.raises(ValueError, match="invalid hyperparameters"):
+            RemJobSpec(predictor=predictor, tune=False, hyperparameters=hyperparameters)
+
+    def test_invalid_base_hyperparameters_reject_the_job_set(self):
+        from repro.serve import JobSetSpec
+
+        with pytest.raises(ValueError, match="invalid hyperparameters"):
+            JobSetSpec(
+                predictors=("idw",),
+                base={"tune": False, "hyperparameters": {"power": -1}},
+            )
+
 
 class TestConfigAdapters:
     def test_toolchain_config_round_trip(self):

@@ -78,19 +78,62 @@ class TestTakeoffAndFlight:
         assert np.linalg.norm(uav.estimated_position - uav.position) < 0.2
 
 
+class TestCatchUpEstimate:
+    """The estimate read after landing ≡ the estimate run every tick."""
+
+    @staticmethod
+    def fly(read_every_tick):
+        sim, radio, link, uav = make_uav()
+        if read_every_tick:
+            record = uav.estimator.record
+
+            def record_and_read(*args):
+                record(*args)
+                uav.estimator.position
+
+            uav.estimator.record = record_and_read
+        radio.turn_on()
+        link.station_send(proto.encode(proto.Takeoff(0.5)))
+
+        def pilot():
+            for _ in range(20):
+                link.station_send(proto.encode(proto.Goto(1.2, 0.8, 0.9)))
+                yield Timeout(0.2)
+            link.station_send(proto.encode(proto.Land()))
+
+        spawn(sim, pilot())
+        sim.run(until=8.0)
+        assert uav.state is FlightState.LANDED
+        return uav
+
+    def test_late_read_equals_per_tick(self):
+        late, per_tick = self.fly(False), self.fly(True)
+        assert late.estimator._n_pending > 100
+        assert np.array_equal(late.estimated_position, per_tick.estimated_position)
+        assert np.array_equal(late.estimator.ekf.P, per_tick.estimator.ekf.P)
+        assert (
+            late.estimator.ekf.accepted_updates
+            == per_tick.estimator.ekf.accepted_updates
+        )
+        assert np.array_equal(late.position, per_tick.position)
+        assert (
+            late._uwb_rng.bit_generator.state == per_tick._uwb_rng.bit_generator.state
+        )
+
+
 class TestLocalizationRate:
     @staticmethod
     def steps_in_ten_seconds(mode):
         sim, radio, link, uav = make_uav(localization_mode=mode)
         radio.turn_on()
         steps = []
-        step = uav.estimator.step
+        record = uav.estimator.record
 
-        def counted_step(dt, *args):
+        def counted_record(dt, *args):
             steps.append(dt)
-            return step(dt, *args)
+            return record(dt, *args)
 
-        uav.estimator.step = counted_step
+        uav.estimator.record = counted_record
 
         def keep_alive():
             for _ in range(60):

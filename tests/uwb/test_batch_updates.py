@@ -25,7 +25,6 @@ class TestMeasureStacked:
         tdoa = TdoaRanging(layout, clean_config())
         position = (1.5, 1.2, 1.0)
         stacked, diffs = tdoa.measure_stacked(position, np.random.default_rng(7))
-        diffs = diffs.copy()  # the whole-layout burst buffer is reused
         records = tdoa.measure_all(position, np.random.default_rng(7))
         m = len(records)
         assert len(diffs) == m
@@ -288,3 +287,151 @@ class TestLeanTick:
         )
         with pytest.raises(np.linalg.LinAlgError):
             estimator.step(0.04, (1.2, 1.1, 1.0), np.random.default_rng(0))
+
+
+class TestCatchUp:
+    """Recorded ticks, run when the estimate is read, ≡ the per-tick oracle."""
+
+    def run_both(self, layout, ranging, path, seed, start=None):
+        from repro.uwb.kalman import EkfConfig
+        from repro.uwb.localization import PositionEstimator
+
+        start = path[0] if start is None else start
+        estimator = PositionEstimator(
+            layout, ranging_config=ranging, initial_position=start
+        )
+        reference = _ReferenceTick(layout, ranging, EkfConfig(), start)
+        rng = np.random.default_rng(seed)
+        reference_rng = np.random.default_rng(seed)
+        reads = np.random.default_rng(seed + 1000).random(len(path)) < 0.03
+        assert 10 < reads.sum() < len(path) // 10
+        for position, read in zip(path, reads):
+            estimator.record(0.04, position, rng)
+            reference.step(0.04, position, reference_rng)
+            if read:
+                assert np.array_equal(estimator.position, reference.x[:3])
+                assert np.array_equal(estimator.ekf.x, reference.x)
+                assert np.array_equal(estimator.ekf.P, reference.P)
+        assert estimator.error_m(path[-1]) == np.linalg.norm(reference.x[:3] - path[-1])
+        assert np.array_equal(estimator.ekf.P, reference.P)
+        assert estimator.ekf.accepted_updates == reference.accepted
+        assert estimator.ekf.rejected_updates == reference.rejected
+        assert rng.random() == reference_rng.random()
+        return reference
+
+    def test_nlos_gate_rejections(self, layout):
+        ranging = RangingConfig(nlos_probability=0.3, nlos_bias_max_m=2.0)
+        path = TestLeanTick.sweep(
+            2500, np.array([0.3, 0.3, 0.3]), np.array([3.4, 2.9, 1.8])
+        )
+        reference = self.run_both(layout, ranging, path, seed=3)
+        assert reference.rejected > 100
+
+    def test_partial_visibility(self, layout):
+        ranging = RangingConfig(max_range_m=3.6)
+        path = TestLeanTick.sweep(
+            2500, np.array([-1.0, -1.0, 0.0]), np.array([4.7, 4.2, 2.1])
+        )
+        reference = self.run_both(layout, ranging, path, seed=4)
+        assert len(set(reference.bursts) - {0, len(layout)}) >= 2
+
+    def test_tag_at_an_anchor(self, layout):
+        anchor = np.array(layout.positions[0])
+        path = np.repeat(anchor[None, :], 600, axis=0)
+        self.run_both(layout, RangingConfig(), path, seed=5, start=anchor)
+
+    def test_record_copies_the_position(self, layout):
+        from repro.uwb.localization import PositionEstimator
+
+        moved = PositionEstimator(layout, initial_position=(1.0, 1.0, 1.0))
+        fixed = PositionEstimator(layout, initial_position=(1.0, 1.0, 1.0))
+        truth = np.array([1.2, 1.1, 1.0])
+        rng, fixed_rng = np.random.default_rng(0), np.random.default_rng(0)
+        moved.record(0.04, truth, rng)
+        fixed.record(0.04, truth.copy(), fixed_rng)
+        truth[:] = 0.0  # a caller reusing its buffer
+        assert np.array_equal(moved.position, fixed.position)
+
+    def test_unread_ticks_stay_pending(self, layout):
+        from repro.uwb.localization import PositionEstimator
+
+        estimator = PositionEstimator(layout, initial_position=(1.0, 1.0, 1.0))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for _ in range(200):  # past the trace's first capacity
+            estimator.record(0.04, (1.2, 1.1, 1.0), rng)
+        assert rng.bit_generator.state == state
+        assert estimator.ekf.accepted_updates == 0
+        estimator.position
+        assert rng.bit_generator.state != state
+        assert estimator.ekf.accepted_updates > 0
+
+    def test_a_second_stream_while_pending_raises(self, layout):
+        from repro.uwb.localization import PositionEstimator
+
+        estimator = PositionEstimator(layout, initial_position=(1.0, 1.0, 1.0))
+        rng = np.random.default_rng(0)
+        estimator.record(0.04, (1.2, 1.1, 1.0), rng)
+        with pytest.raises(ValueError, match="different rng"):
+            estimator.record(0.04, (1.2, 1.1, 1.0), np.random.default_rng(0))
+        estimator.position  # the pending tick runs; a new stream is fine now
+        estimator.record(0.04, (1.2, 1.1, 1.0), np.random.default_rng(1))
+
+    def test_zero_sigma_surfaces_at_the_read(self, layout):
+        from repro.uwb.localization import PositionEstimator
+
+        estimator = PositionEstimator(
+            layout,
+            ranging_config=RangingConfig(tdoa_sigma_m=0.0),
+            initial_position=(1.0, 1.0, 1.0),
+        )
+        estimator.record(0.04, (1.2, 1.1, 1.0), np.random.default_rng(0))
+        with pytest.raises(np.linalg.LinAlgError):
+            estimator.position
+
+
+class TestMeasureBlock:
+    """A block ``measure_stacked`` ≡ one one-position call per row."""
+
+    @staticmethod
+    def assert_block_matches_rows(tdoa, positions, seed):
+        block_rng = np.random.default_rng(seed)
+        row_rng = np.random.default_rng(seed)
+        stacked, diffs = tdoa.measure_stacked(positions, block_rng)
+        assert len(stacked) == len(diffs) == len(positions)
+        sizes = set()
+        for position, block_pairs, block_diffs in zip(positions, stacked, diffs):
+            pairs, row_diffs = tdoa.measure_stacked(position, row_rng)
+            assert np.array_equal(block_pairs, pairs)
+            assert np.array_equal(block_diffs, row_diffs)
+            sizes.add(len(row_diffs))
+        assert block_rng.bit_generator.state == row_rng.bit_generator.state
+        return sizes
+
+    def test_whole_layout_with_nlos_hits(self, layout):
+        tdoa = TdoaRanging(layout, RangingConfig(nlos_probability=0.5))
+        positions = np.random.default_rng(1).uniform(
+            (0.2, 0.2, 0.2), (3.5, 3.0, 1.9), size=(40, 3)
+        )
+        stacked, diffs = tdoa.measure_stacked(positions, np.random.default_rng(2))
+        assert diffs.shape == (40, len(layout))
+        sizes = self.assert_block_matches_rows(tdoa, positions, seed=2)
+        assert sizes == {len(layout)}
+
+    def test_one_row_block(self, layout):
+        tdoa = TdoaRanging(layout, RangingConfig(nlos_probability=0.5))
+        self.assert_block_matches_rows(tdoa, np.array([[1.5, 1.2, 1.0]]), seed=3)
+
+    def test_partially_visible_rows(self, layout):
+        tdoa = TdoaRanging(layout, RangingConfig(max_range_m=3.6))
+        positions = np.random.default_rng(4).uniform(
+            (-1.0, -1.0, 0.0), (4.7, 4.2, 2.1), size=(60, 3)
+        )
+        sizes = self.assert_block_matches_rows(tdoa, positions, seed=5)
+        assert len(layout) in sizes and len(sizes) >= 3
+
+    def test_one_position_keeps_its_shapes(self, layout):
+        tdoa = TdoaRanging(layout, RangingConfig())
+        stacked, diffs = tdoa.measure_stacked((1.5, 1.2, 1.0), np.random.default_rng(0))
+        assert stacked.shape == (2 * len(layout), 3)
+        assert diffs.shape == (len(layout),)

@@ -94,3 +94,30 @@ class TestHoveringAccuracy:
         assert result.mode == LocalizationMode.TDOA
         assert result.rmse_m >= result.mean_error_m * 0.8
         assert result.p95_error_m >= result.mean_error_m
+
+
+class TestHoveringWindow:
+    @pytest.mark.parametrize(
+        "duration_s, settle_s", [(2.0, 3.0), (3.0, 3.0), (0.0, 0.0), (5.0, -1.0)]
+    )
+    def test_window_without_settled_ticks_rejected(self, layout, duration_s, settle_s):
+        with pytest.raises(ValueError, match="settle_s"):
+            evaluate_hovering_accuracy(
+                layout,
+                LocalizationMode.TDOA,
+                (1.0, 1.0, 1.0),
+                np.random.default_rng(0),
+                duration_s=duration_s,
+                settle_s=settle_s,
+            )
+
+    def test_zero_settle_counts_every_tick(self, layout):
+        result = evaluate_hovering_accuracy(
+            layout,
+            LocalizationMode.TDOA,
+            (1.0, 1.0, 1.0),
+            np.random.default_rng(0),
+            duration_s=1.0,
+            settle_s=0.0,
+        )
+        assert np.isfinite(result.mean_error_m)
