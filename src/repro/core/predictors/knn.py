@@ -37,6 +37,10 @@ top-2k, and rows those cannot cover share one dense fallback.  Each
 row's candidates, values and order are those of a search over its MAC
 alone, so the query paths batch a whole chunk in one call while the
 lattice calls it once per MAC, and both agree bit for bit.
+:meth:`KnnRegressor.neighbors` returns its neighbors sorted by training
+index, and :meth:`KnnRegressor.merge_neighbors` keeps them current
+across :meth:`KnnRegressor.partial_fit` calls by searching only the
+appended rows; the online builder scores its holdout set that way.
 """
 
 from __future__ import annotations
@@ -260,8 +264,8 @@ class KnnRegressor(Predictor):
         :meth:`predict` path, so it is materialized lazily (from the
         arrays copied here, preserving the snapshot-at-fit contract) —
         fits that are consumed through the batched point/grid APIs
-        (REM builds, online refits, uncertainty scoring) never pay
-        for it.
+        (REM builds, online refits and their holdout scores,
+        uncertainty scoring) never pay for it.
         """
         if len(train) == 0:
             raise ValueError("cannot fit on an empty dataset")
@@ -329,8 +333,10 @@ class KnnRegressor(Predictor):
 
         The dense reference over the full [x, y, z, one-hot(MAC)]
         features: tests check the batched paths against it, and the
-        held-out score uses it.  It agrees with :meth:`predict_points`
-        to 1e-9, not bit for bit.
+        pipeline's held-out test score uses it.  The online builder's
+        holdout score does not: it keeps each row's :meth:`neighbors`
+        and folds new training rows in with :meth:`merge_neighbors`.
+        It agrees with :meth:`predict_points` to 1e-9, not bit for bit.
         """
         self._require_fitted()
         queries = data.features(self.onehot_scale)
@@ -558,6 +564,75 @@ class KnnRegressor(Predictor):
             fallback = self._dense_neighbors(base[rows], row_macs[rows], penalty)
             neighbor_idx[rows], neighbor_pow[rows] = fallback
         return neighbor_idx, neighbor_pow
+
+    def neighbors(
+        self, points: np.ndarray, mac_indices: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Each query row's exact penalized top-k ``(idx, pow)``.
+
+        The neighbors :meth:`predict_points` averages, found by
+        :meth:`_neighbors` and sorted by training index, so that
+        :meth:`merge_neighbors` can fold later training rows in under
+        the same lowest-index tie rule.
+        """
+        self._require_fitted()
+        assert self._train_targets is not None
+        points, mac_indices = self._coerce_point_query(points, mac_indices)
+        k = min(self.n_neighbors, len(self._train_targets))
+        neighbor_idx = np.empty((len(points), k), dtype=int)
+        neighbor_pow = np.empty((len(points), k))
+        for start in range(0, len(points), _GRID_CHUNK_ROWS):
+            sl = slice(start, start + _GRID_CHUNK_ROWS)
+            base = _powered_distances(points[sl], self._train_positions, self.p)
+            (candidates,) = _global_candidates(base, [2 * self.n_neighbors])
+            idx, pow_ = self._neighbors(base, *candidates, mac_indices[sl])
+            order = np.argsort(idx, axis=1)
+            neighbor_idx[sl] = np.take_along_axis(idx, order, axis=1)
+            neighbor_pow[sl] = np.take_along_axis(pow_, order, axis=1)
+        return neighbor_idx, neighbor_pow
+
+    def merge_neighbors(
+        self,
+        points: np.ndarray,
+        mac_indices: np.ndarray,
+        neighbor_idx: np.ndarray,
+        neighbor_pow: np.ndarray,
+        first_new: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Fold training rows ``first_new:`` into kept :meth:`neighbors`.
+
+        ``neighbor_idx``/``neighbor_pow`` are the rows' neighbors over
+        the first ``first_new`` training rows, as :meth:`neighbors` or
+        an earlier merge returned them.  Only the distances to the new
+        rows are computed; one :func:`_stable_topk` over the kept and
+        the new entries picks the grown top-k.  Rows appended by
+        :meth:`partial_fit` have larger training indices than every
+        kept entry, so a tie still goes to the lower index, and the
+        result equals :meth:`neighbors` on the grown model.  ``k``
+        grows with the training set while it is below ``n_neighbors``.
+        """
+        self._require_fitted()
+        assert self._train_targets is not None and self._train_macs is not None
+        n_train = len(self._train_targets)
+        if first_new == n_train:
+            return neighbor_idx, neighbor_pow
+        points, mac_indices = self._coerce_point_query(points, mac_indices)
+        new_pow = _powered_distances(points, self._train_positions[first_new:], self.p)
+        penalty = 2.0 * self.onehot_scale**self.p
+        if penalty != 0.0:
+            new_pow += penalty * (self._train_macs[first_new:] != mac_indices[:, None])
+        new_idx = np.broadcast_to(np.arange(first_new, n_train), new_pow.shape)
+        cand_idx = np.concatenate([neighbor_idx, new_idx], axis=1)
+        cand_pow = np.concatenate([neighbor_pow, new_pow], axis=1)
+        pick, merged_pow = _stable_topk(cand_pow, min(self.n_neighbors, n_train))
+        return np.take_along_axis(cand_idx, pick, axis=1), merged_pow
+
+    def average_neighbors(
+        self, neighbor_idx: np.ndarray, neighbor_pow: np.ndarray
+    ) -> np.ndarray:
+        """Weighted average of :meth:`neighbors` — a prediction per row."""
+        assert self._train_targets is not None
+        return self._weighted_average(neighbor_pow, self._train_targets[neighbor_idx])
 
     def _same_mac_candidates(self, base: np.ndarray, row_macs: np.ndarray, k: int):
         """Each row's top-k ``(idx, pow, count)`` within its own MAC.

@@ -14,12 +14,22 @@ folded in, instead of rebuilding the whole growing dataset and fitting
 a fresh model every round.  The incremental path is pinned numerically
 identical (1e-9) to a from-scratch refit; vocabulary growth falls back
 to a full refit automatically.
+
+Each refit is scored on the held-out scans, and that score is
+incremental too.  Holdout rows are converted to arrays once, when
+they first meet a refit.  For k-NN estimators every holdout row keeps
+its exact top-k neighbours, and an incremental refit merges in only
+the training rows it added
+(:meth:`repro.core.predictors.knn.KnnRegressor.merge_neighbors`); new
+holdout rows run one full neighbour search.  Other estimators
+re-predict the kept arrays with ``predict_points``.  A full refit, a
+new model over a possibly grown vocabulary, rebuilds that state.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,6 +55,25 @@ class OnlineSnapshot:
     #: Wall seconds the model update itself took (holdout scoring
     #: excluded) — the per-round cost the refit benchmarks plot.
     refit_wall_s: float = 0.0
+
+
+@dataclass
+class _HoldoutState:
+    """Holdout rows converted for scoring, valid for one fitted model.
+
+    ``rows`` counts the holdout rows converted so far (rows whose MAC
+    the model does not know are dropped, as :meth:`OnlineRemBuilder._dataset`
+    drops them).  For k-NN models ``neighbor_idx``/``neighbor_pow``
+    keep each row's top-k over the first ``n_train`` training rows.
+    """
+
+    rows: int = 0
+    positions: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
+    mac_indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+    rssi_dbm: np.ndarray = field(default_factory=lambda: np.empty(0))
+    neighbor_idx: Optional[np.ndarray] = None
+    neighbor_pow: Optional[np.ndarray] = None
+    n_train: int = 0
 
 
 class OnlineRemBuilder:
@@ -101,6 +130,7 @@ class OnlineRemBuilder:
         self.refits_incremental = 0
         self.history: List[OnlineSnapshot] = []
         self._dataset_cache: Optional[Tuple[int, REMDataset]] = None
+        self._holdout = _HoldoutState()
 
     # ------------------------------------------------------------------
     @property
@@ -214,6 +244,12 @@ class OnlineRemBuilder:
         return all(r[1] in self._vocabulary_set for r in pending)
 
     def _refit(self) -> OnlineSnapshot:
+        """Fold the pending rows into the model, then score the holdout.
+
+        A delta refit keeps the holdout scoring state, so the score only
+        merges in the new training rows; a full refit builds a new
+        model over the current vocabulary and resets that state.
+        """
         t0 = time.perf_counter()
         if self._can_partial_fit():
             pending = self._train_rows[self._fitted_rows :]
@@ -228,14 +264,12 @@ class OnlineRemBuilder:
             train = self._dataset(self._train_rows)
             self.model = self._factory()
             self.model.fit(train)
+            self._holdout = _HoldoutState()
             self.refits_full += 1
             mode = "full"
         self._fitted_rows = len(self._train_rows)
         refit_wall_s = time.perf_counter() - t0
-        score: Optional[float] = None
-        holdout = self._dataset(self._holdout_rows) if self._holdout_rows else None
-        if holdout is not None and len(holdout) > 0:
-            score = rmse(holdout.rssi_dbm, self.model.predict(holdout))
+        score = self._score()
         snapshot = OnlineSnapshot(
             scans_ingested=self.scans_ingested,
             samples_ingested=self.samples_ingested,
@@ -246,6 +280,46 @@ class OnlineRemBuilder:
         )
         self.history.append(snapshot)
         return snapshot
+
+    def _score(self) -> Optional[float]:
+        """Holdout RMSE of the current model, ``None`` with no usable row.
+
+        Converts only the holdout rows added since the last score.  For
+        k-NN the kept neighbours absorb the training rows added since
+        then, and only the new holdout rows search from scratch; the
+        score equals the dense ``model.predict`` over the whole holdout
+        set to 1e-9.  ``_refit`` resets the state on every full refit.
+        That covers :meth:`refit_now` folding the holdout rows into
+        training: it only happens before the first fit, which is full.
+        """
+        assert self.model is not None
+        state = self._holdout
+        new = self._dataset(self._holdout_rows[state.rows :])
+        state.rows = len(self._holdout_rows)
+        n_kept = len(state.rssi_dbm)
+        state.positions = np.concatenate([state.positions, new.positions])
+        state.mac_indices = np.concatenate([state.mac_indices, new.mac_indices])
+        state.rssi_dbm = np.concatenate([state.rssi_dbm, new.rssi_dbm])
+        if not len(state.rssi_dbm):
+            return None
+        model = self.model
+        if not isinstance(model, KnnRegressor):
+            predicted = model.predict_points(state.positions, state.mac_indices)
+            return rmse(state.rssi_dbm, predicted)
+        idx, pow_ = model.neighbors(new.positions, new.mac_indices)
+        if n_kept:
+            kept_idx, kept_pow = model.merge_neighbors(
+                state.positions[:n_kept],
+                state.mac_indices[:n_kept],
+                state.neighbor_idx,
+                state.neighbor_pow,
+                state.n_train,
+            )
+            idx = np.concatenate([kept_idx, idx])
+            pow_ = np.concatenate([kept_pow, pow_])
+        state.neighbor_idx, state.neighbor_pow = idx, pow_
+        state.n_train = self._fitted_rows
+        return rmse(state.rssi_dbm, model.average_neighbors(idx, pow_))
 
     # ------------------------------------------------------------------
     def uncertainty(self, positions: Sequence[Sequence[float]]) -> np.ndarray:
@@ -271,11 +345,5 @@ class OnlineRemBuilder:
         if mac not in self._vocabulary:
             raise KeyError(f"MAC {mac!r} not yet observed")
         index = self._vocabulary.index(mac)
-        query = REMDataset(
-            positions=np.asarray([position], dtype=float),
-            mac_indices=np.array([index]),
-            channels=np.array([1]),
-            rssi_dbm=np.zeros(1),
-            mac_vocabulary=self._vocabulary,
-        )
-        return float(self.model.predict(query)[0])
+        point = np.asarray(position, dtype=float).reshape(1, 3)
+        return float(self.model.predict_points(point, np.array([index]))[0])

@@ -166,6 +166,64 @@ class TestMinkowskiDistances:
         assert np.array_equal(np.power(values, 1.0), values)
 
 
+def scan_dataset(rng, n_scans, n_macs=5):
+    """Scans on a half-metre grid: every beacon of a scan shares its
+    position, and grid positions collide, so exact distance ties abound."""
+    positions, macs = [], []
+    for _ in range(n_scans):
+        position = rng.integers(0, 6, size=3) * 0.5
+        for mac in np.flatnonzero(rng.random(n_macs) < 0.7):
+            positions.append(position)
+            macs.append(mac)
+    vocabulary = tuple(f"aa:aa:aa:aa:aa:{i:02x}" for i in range(n_macs))
+    rssi = rng.integers(-90, -40, size=len(macs))
+    return dataset_from_arrays(positions, macs, rssi, vocabulary=vocabulary)
+
+
+class TestKnnMergeNeighbors:
+    """Kept neighbours plus a merge of the appended rows ≡ a fresh search."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("onehot_scale", [0.0, 3.0])
+    @pytest.mark.parametrize("n_neighbors", [3, 16])
+    def test_merge_equals_fresh_search(self, rng, p, onehot_scale, n_neighbors):
+        data = scan_dataset(rng, 30)
+        queries = scan_dataset(rng, 12)
+        params = dict(n_neighbors=n_neighbors, p=p, onehot_scale=onehot_scale)
+        # The first cut leaves fewer rows than n_neighbors, so k grows.
+        cuts = [4, 9, 40, len(data)]
+        model = KnnRegressor(**params).fit(data.subset(range(cuts[0])))
+        idx, pow_ = model.neighbors(queries.positions, queries.mac_indices)
+        for first_new, cut in zip(cuts, cuts[1:]):
+            model.partial_fit(data.subset(range(first_new, cut)))
+            idx, pow_ = model.merge_neighbors(
+                queries.positions, queries.mac_indices, idx, pow_, first_new
+            )
+        fresh = KnnRegressor(**params).fit(data)
+        fresh_idx, fresh_pow = fresh.neighbors(queries.positions, queries.mac_indices)
+        np.testing.assert_array_equal(idx, fresh_idx)
+        if p == 2.0:
+            # The quadratic expansion's rounding depends on the matrix shape.
+            np.testing.assert_allclose(pow_, fresh_pow, rtol=1e-12, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(pow_, fresh_pow)
+        np.testing.assert_allclose(
+            model.average_neighbors(idx, pow_), fresh.predict(queries), atol=1e-9
+        )
+
+    def test_neighbors_are_the_predict_points_neighbors(self, rng):
+        data, queries = scan_dataset(rng, 30), scan_dataset(rng, 12)
+        model = KnnRegressor(n_neighbors=8, onehot_scale=3.0).fit(data)
+        idx, pow_ = model.neighbors(queries.positions, queries.mac_indices)
+        assert (np.diff(idx, axis=1) > 0).all()  # training-row order
+        np.testing.assert_allclose(
+            model.average_neighbors(idx, pow_),
+            model.predict_points(queries.positions, queries.mac_indices),
+            rtol=0.0,
+            atol=1e-12,
+        )
+
+
 class TestPerMacKnn:
     def test_dispatches_by_mac(self, two_mac_data):
         model = PerMacKnnRegressor(n_neighbors=1).fit(two_mac_data)

@@ -313,3 +313,54 @@ class TestKillAndResume:
             r["digest"]: r["content_hash"] for r in reference.list()
         }
         assert resumed_hashes == reference_hashes
+
+
+@pytest.mark.slow
+class TestSweepContentHashes:
+    """The benchmark's ``sweep_acquire`` grid, pinned byte for byte.
+
+    The grid of ``perfbench/cold.py`` (``sweep_jobset``) with split seed
+    1: two worlds x k-NN/IDW x active/fleet, untuned, world seed 63.
+    The cells run campaigns with online refits, holdout scoring, and
+    lattice passes, so any drift in those paths changes a hash here.
+    """
+
+    #: The grid's cells in expansion order, and each one's content hash.
+    CELLS = (
+        ("condo", "knn", "active"),
+        ("condo", "knn", "fleet"),
+        ("condo", "idw", "active"),
+        ("condo", "idw", "fleet"),
+        ("office", "knn", "active"),
+        ("office", "knn", "fleet"),
+        ("office", "idw", "active"),
+        ("office", "idw", "fleet"),
+    )
+    CONTENT_HASHES = (
+        "dca04fbfc3b9aa85b4d960839acc4defa0bdab5e681c9233fb5c1deb38e63839",
+        "e02a4fc6ea1083e9de9fa61d3b537b25387bc5847927eb2a79a528f3b0e49264",
+        "53d744b189d4e08c13100fc5fb23f87a20e3605ba185715b7ede1325a5575488",
+        "88516fba7227cd3defbc9b2b1e09c5c9fcadfa44bbe46018012bdb8fb713b9a0",
+        "4249786dd3fff6578e2701d0f5379972b760c75c5fb1f4ed2fd74e66aba04212",
+        "caf80626419a38d70b107672946756b7aa9ce8e595887c3df01bd41f2eb95535",
+        "6449a86e8f43562dc0680a474b79e0fc21c6776f7429fa7318f3614afd43e5c6",
+        "e715cd108fb96ccc825a8c4e6e7a0e95a4dd1d41e4960925d83c44580ade4860",
+    )
+
+    def test_sweep_cells_keep_their_content_hash(self, tmp_path):
+        jobset = JobSetSpec(
+            scenarios=("condo", "office"),
+            seeds=(63,),
+            predictors=("knn", "idw"),
+            acquisitions=("active", "fleet"),
+            base={"tune": False, "split_seed": 1},
+        )
+        store = ArtifactStore(tmp_path)
+        result = JobSetRunner(store, workers=0).run(jobset)
+        assert result.failed == 0
+        hashes = []
+        for record in result.records:
+            spec = record.spec
+            cell = (spec["scenario"], spec["predictor"], spec["acquisition"])
+            hashes.append((cell, store.load(record.digest).content_hash()))
+        assert hashes == list(zip(self.CELLS, self.CONTENT_HASHES))

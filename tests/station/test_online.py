@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.predictors import IdwRegressor, KnnRegressor, rmse
 from repro.station.online import OnlineRemBuilder
 from repro.wifi import ScanRecord
 
@@ -262,6 +263,127 @@ class TestIncrementalRefit:
             assert fast.predict((1.0, 0.5, 1.0), mac) == pytest.approx(
                 slow.predict((1.0, 0.5, 1.0), mac), abs=1e-9
             )
+
+
+def dense_holdout_rmse(builder):
+    """The holdout score from scratch: k-NN's dense reference ``predict``."""
+    holdout = builder._dataset(builder._holdout_rows)
+    if len(holdout) == 0:
+        return None
+    return rmse(holdout.rssi_dbm, builder.model.predict(holdout))
+
+
+class TestIncrementalScore:
+    """Every snapshot's score ≡ the dense reference over the whole holdout."""
+
+    @staticmethod
+    def assert_scores_match(builder, scans, refit_now_every=None):
+        """Feed ``scans``, checking each snapshot as it is taken."""
+        checked = 0
+        for i, (position, records) in enumerate(scans):
+            snaps = [builder.add_scan(position, records)]
+            if refit_now_every and (i + 1) % refit_now_every == 0:
+                snaps.append(builder.refit_now())
+            for snap in snaps:
+                if snap is None:
+                    continue
+                expected = dense_holdout_rmse(builder)
+                if expected is None:
+                    assert snap.holdout_rmse_dbm is None
+                else:
+                    assert snap.holdout_rmse_dbm == pytest.approx(
+                        expected, rel=0.0, abs=1e-9
+                    )
+                    checked += 1
+        return checked
+
+    @staticmethod
+    def scans(rng, n, macs_at=lambda i: MACS):
+        out = []
+        for i in range(n):
+            position = (0.3 * i % 3.0, 0.2 * (i % 7), 1.0 + 0.1 * (i % 3))
+            out.append((position, scan_records(rng, macs_at(i), position)))
+        return out
+
+    def test_cadence_incremental_refits(self, rng):
+        builder = OnlineRemBuilder(refit_every_scans=3, holdout_fraction=0.3, seed=4)
+        assert self.assert_scores_match(builder, self.scans(rng, 45)) >= 10
+        assert builder.refits_full == 1
+        assert builder.refits_incremental >= 10
+
+    def test_vocabulary_growth_makes_held_out_macs_scorable(self, rng):
+        # MAC 3 is only heard from scan 20 on, so early held-out MAC-3
+        # rows cannot be scored until a full refit adds MAC 3.
+        builder = OnlineRemBuilder(refit_every_scans=2, holdout_fraction=0.4, seed=7)
+        scans = self.scans(rng, 40, lambda i: MACS if i >= 20 else MACS[:3])
+        unscorable_seen = False
+        for position, records in scans:
+            snap = builder.add_scan(position, records)
+            if snap is None:
+                continue
+            held_out = len(builder._holdout_rows)
+            scorable = len(builder._dataset(builder._holdout_rows))
+            unscorable_seen |= scorable < held_out
+            expected = dense_holdout_rmse(builder)
+            assert snap.holdout_rmse_dbm == pytest.approx(expected, abs=1e-9)
+        assert unscorable_seen
+        assert "aa:aa:aa:aa:aa:03" in builder.vocabulary
+        assert builder.refits_full >= 2
+        assert len(builder._dataset(builder._holdout_rows)) == len(
+            builder._holdout_rows
+        )
+
+    def test_refit_now_holdout_to_train_swap(self, rng):
+        builder = OnlineRemBuilder(refit_every_scans=4, holdout_fraction=0.5, seed=1)
+        first = self.scans(rng, 3)
+        for position, records in first:
+            builder.add_scan(position, records)
+        builder._holdout_rows.extend(builder._train_rows)
+        builder._train_rows.clear()
+        builder._dataset_cache = None
+        snap = builder.refit_now()
+        assert snap is not None and snap.holdout_rmse_dbm is None
+        assert self.assert_scores_match(builder, self.scans(rng, 30), 5) >= 5
+
+    def test_full_refits_only(self, rng):
+        builder = OnlineRemBuilder(
+            refit_every_scans=3, holdout_fraction=0.3, seed=4, incremental=False
+        )
+        assert self.assert_scores_match(builder, self.scans(rng, 30)) >= 5
+        assert builder.refits_incremental == 0
+
+    def test_fewer_training_rows_than_neighbors(self, rng):
+        # Four beacons a scan and a refit every scan: the training set
+        # stays below n_neighbors=16 for the first refits, so k grows.
+        builder = OnlineRemBuilder(refit_every_scans=1, holdout_fraction=0.3, seed=6)
+        assert self.assert_scores_match(builder, self.scans(rng, 12)) >= 3
+        assert builder.history[0].samples_ingested < 16
+
+    def test_no_holdout(self, rng):
+        builder = OnlineRemBuilder(refit_every_scans=2, holdout_fraction=0.0)
+        self.assert_scores_match(builder, self.scans(rng, 10))
+        assert all(s.holdout_rmse_dbm is None for s in builder.history)
+
+    def test_idw_factory(self, rng):
+        builder = OnlineRemBuilder(
+            predictor_factory=IdwRegressor,
+            refit_every_scans=3,
+            holdout_fraction=0.3,
+            seed=4,
+        )
+        assert self.assert_scores_match(builder, self.scans(rng, 30), 7) >= 5
+        assert builder.refits_incremental >= 5
+
+    def test_uniform_p1_knn_factory(self, rng):
+        builder = OnlineRemBuilder(
+            predictor_factory=lambda: KnnRegressor(
+                n_neighbors=5, weights="uniform", p=1.0, onehot_scale=1.0
+            ),
+            refit_every_scans=2,
+            holdout_fraction=0.3,
+            seed=8,
+        )
+        assert self.assert_scores_match(builder, self.scans(rng, 30)) >= 5
 
 
 class TestConvergence:
