@@ -135,10 +135,11 @@ class RadioEnvironmentMap:
         self._stack = np.empty((0,) + grid.shape)
         self._row_of: Dict[str, int] = {}
         #: Lazy caches for the serving hot path, invalidated by the
-        #: field setters: (identity, rows) for the every-AP query and
-        #: the sorted present-MAC tuple.
+        #: field setters: (identity, rows) for the every-AP query, the
+        #: sorted present-MAC tuple and the best-server RSS field.
         self._rows_cache: Optional[Tuple[bool, np.ndarray]] = None
         self._macs_cache: Optional[Tuple[str, ...]] = None
+        self._best_cache: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     def set_field(self, mac: str, values: np.ndarray) -> None:
@@ -148,8 +149,7 @@ class RadioEnvironmentMap:
         expected = self.grid.shape
         if values.shape != expected:
             raise ValueError(f"field shape {values.shape} != grid shape {expected}")
-        self._rows_cache = None
-        self._macs_cache = None
+        self._invalidate()
         row = self._row_of.get(mac)
         if row is None:
             self._row_of[mac] = len(self._stack)
@@ -159,6 +159,12 @@ class RadioEnvironmentMap:
         else:
             self._stack[row] = values.astype(float)
 
+    def _invalidate(self) -> None:
+        """Drop the derived-field caches (every field setter calls this)."""
+        self._rows_cache = None
+        self._macs_cache = None
+        self._best_cache = None
+
     def set_fields(self, macs: Sequence[str], tensor: np.ndarray) -> None:
         """Bulk store: ``tensor`` is ``(len(macs), nx, ny, nz)``."""
         expected = (len(macs),) + self.grid.shape
@@ -167,8 +173,7 @@ class RadioEnvironmentMap:
         for mac in macs:
             if mac not in self._index:
                 raise KeyError(f"unknown MAC {mac!r}")
-        self._rows_cache = None
-        self._macs_cache = None
+        self._invalidate()
         fresh = [mac for mac in macs if mac not in self._row_of]
         if len(fresh) == len(macs) and len(set(macs)) == len(macs):
             # Common case (build_rem): one allocation for the whole batch.
@@ -385,15 +390,28 @@ class RadioEnvironmentMap:
 
     def coverage_by_mac(self, threshold_dbm: float) -> Dict[str, float]:
         """Coverage fraction of every present AP in one reduction."""
-        stack = self.field_tensor()
+        # Like query_many: no whole-tensor gather when the stored rows
+        # are already every AP in vocabulary order.
+        identity, rows = self._all_rows()
+        stack = self._stack if identity else self._stack[rows]
         fractions = (stack >= threshold_dbm).mean(axis=(1, 2, 3))
         return {mac: float(f) for mac, f in zip(self.macs, fractions)}
 
     def best_rss_field(self) -> np.ndarray:
-        """Point-wise maximum RSS over all present APs (nx, ny, nz)."""
-        if not self._row_of:
-            return np.full(self.grid.shape, -np.inf)
-        return self._stack.max(axis=0)
+        """Point-wise maximum RSS over all present APs (nx, ny, nz).
+
+        Cached until the next field setter call and returned read-only:
+        every dark-region and dark-fraction answer reduces this field.
+        """
+        cached = self._best_cache
+        if cached is None:
+            if self._row_of:
+                cached = self._stack.max(axis=0)
+            else:
+                cached = np.full(self.grid.shape, -np.inf)
+            cached.flags.writeable = False
+            self._best_cache = cached
+        return cached
 
     def dark_fraction(self, threshold_dbm: float) -> float:
         """Fraction of lattice points where *no* AP reaches ``threshold``.
@@ -409,8 +427,12 @@ class RadioEnvironmentMap:
         """Lattice points of the dark region, as an (N, 3) array."""
         if not self._row_of:
             return self.grid.points()
-        mask = (self.best_rss_field() < threshold_dbm).ravel()
-        return self.grid.points()[mask]
+        # ≡ grid.points()[mask.ravel()] bit for bit: nonzero walks the
+        # mask in C order, the order points() ravels the lattice in,
+        # and only the dark points' coordinates are gathered.
+        i, j, k = np.nonzero(self.best_rss_field() < threshold_dbm)
+        ax, ay, az = self.grid.axes()
+        return np.column_stack([ax[i], ay[j], az[k]])
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict:

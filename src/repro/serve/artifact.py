@@ -289,18 +289,30 @@ class ArtifactStore:
         copy.  Legacy ``npz`` artifacts cannot be mapped (zip archives)
         and always load eagerly.
         """
-        sidecar = self.sidecar(digest)
+        # One read of the sidecar and no existence probes first: a
+        # missing sidecar or payload file is the same "not stored"
+        # KeyError that sidecar() raises.  (A ValueError out of the read
+        # is a path no file can have, like one with a NUL byte.)
+        missing = KeyError(f"no artifact {digest!r} in {self.root}")
+        try:
+            text = self._sidecar_path(digest).read_text(encoding="utf-8")
+        except (FileNotFoundError, NotADirectoryError, ValueError):
+            raise missing from None
+        sidecar = json.loads(text)
         storage = sidecar.get("storage", {"format": "npz"})
-        if storage["format"] == "npz":
-            with np.load(self._npz_path(digest)) as data:
-                rem = _rem_from_npz_payload(data, prefix="rem_")
-                uncertainty = (
-                    _rem_from_npz_payload(data, prefix="unc_")
-                    if "unc_stack" in data.files
-                    else None
-                )
-        else:
-            rem, uncertainty = self._load_npy(digest, storage["layers"], mmap)
+        try:
+            if storage["format"] == "npz":
+                with np.load(self._npz_path(digest)) as data:
+                    rem = _rem_from_npz_payload(data, prefix="rem_")
+                    uncertainty = (
+                        _rem_from_npz_payload(data, prefix="unc_")
+                        if "unc_stack" in data.files
+                        else None
+                    )
+            else:
+                rem, uncertainty = self._load_npy(digest, storage["layers"], mmap)
+        except (FileNotFoundError, NotADirectoryError):
+            raise missing from None
         return RemArtifact(
             spec=RemJobSpec.from_dict(sidecar["spec"]),
             rem=rem,

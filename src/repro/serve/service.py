@@ -16,8 +16,8 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -324,15 +324,22 @@ class RemService:
     def submit(self, spec: RemJobSpec) -> RemArtifact:
         """Run (or fetch) a job through the store and prime the LRU.
 
-        The LRU gets a copy stripped of the in-memory toolchain result
-        (campaign log, fitted predictor, ...): serving only ever reads
-        the map tensors, and a long-lived server must not retain one
-        whole build state per cached artifact.
+        A spec whose artifact is already stored resolves through
+        :meth:`artifact`, so an ``mmap=True`` service caches the memory
+        map and not a private heap copy; the caller gets it back with
+        ``cache_hit=True``.  A fresh build enters the LRU as a copy
+        stripped of the in-memory toolchain result (campaign log,
+        fitted predictor, ...): serving only ever reads the map
+        tensors, and a long-lived server must not retain one whole
+        build state per cached artifact.
         """
-        from dataclasses import replace
-
         from .jobs import run_job
 
+        digest = spec.digest()
+        try:
+            return replace(self.artifact(digest), cache_hit=True)
+        except KeyError:
+            pass
         artifact = run_job(spec, self.store)
         with self._lock:
             self._insert(artifact.digest, replace(artifact, result=None))
@@ -347,24 +354,75 @@ class RemService:
         return self.store.count()
 
     # ------------------------------------------------------------------
-    def handle(self, request):
-        """Dispatch any typed request to its reduction."""
+    def _handler(self, request):
+        """The reduction that answers ``request``'s type."""
         handler = self._HANDLERS.get(type(request))
         if handler is None:
             raise TypeError(f"unsupported request {type(request).__name__}")
-        return handler(self, request)
+        return handler
+
+    def handle(self, request):
+        """Dispatch any typed request to its reduction."""
+        handler = self._handler(request)
+        return handler(self, request, self.artifact(request.digest))
 
     def handle_many(self, requests: Sequence) -> List:
         """Answer a heterogeneous batch of typed requests in order.
 
         The cross-request batch primitive behind ``POST /v1/batch``:
-        one HTTP+JSON round trip amortized over many reductions.
+        one HTTP+JSON round trip amortized over many reductions.  Items
+        are grouped by digest and each digest is looked up once: the
+        digests already in the LRU first (oldest first, so the batch
+        keeps their recency order), then the absent ones.  A group
+        holds its artifact only while its own items run, so a batch
+        keeps no more maps alive than the LRU does.  Answers and
+        errors are those of the per-item loop: responses come back in
+        request order, and a failing batch raises the error of its
+        first failing item.
         """
-        return [self.handle(request) for request in requests]
+        responses: List = [None] * len(requests)
+        # (index, error) of the earliest failing item so far.
+        failed: Optional[Tuple[int, Exception]] = None
+        groups: Dict[str, List[int]] = {}
+        for index, request in enumerate(requests):
+            try:
+                self._handler(request)
+            except TypeError as exc:
+                failed = (index, exc)
+                break
+            groups.setdefault(request.digest, []).append(index)
+        with self._lock:
+            cached = [d for d in self._cache if d in groups]
+            order = cached + [d for d in groups if d not in self._cache]
 
-    def query(self, request: QueryRequest) -> QueryResponse:
+        for digest in order:
+            indices = groups[digest]
+            if failed is not None and indices[0] > failed[0]:
+                continue  # the per-item loop would have stopped earlier
+            try:
+                artifact = self.artifact(digest)
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                failed = (indices[0], exc)
+                continue
+            for index in indices:
+                if failed is not None and index > failed[0]:
+                    break
+                request = requests[index]
+                try:
+                    responses[index] = self._handler(request)(self, request, artifact)
+                except Exception as exc:  # noqa: BLE001 - re-raised below
+                    failed = (index, exc)
+                    break
+            # Drop the reference before the next lookup can evict it.
+            del artifact
+        if failed is not None:
+            raise failed[1]
+        return responses
+
+    # Each reduction answers one request from its resolved artifact.
+    def query(self, request: QueryRequest, artifact: RemArtifact) -> QueryResponse:
         """Batched trilinear RSS lookup (≡ ``rem.query_many``)."""
-        rem = self.artifact(request.digest).rem
+        rem = artifact.rem
         if request.macs is not None:
             macs = list(request.macs)
             values = rem.query_many(request.points, macs)
@@ -375,15 +433,19 @@ class RemService:
             values = rem.query_many(request.points)
         return QueryResponse(digest=request.digest, macs=macs, values=values)
 
-    def strongest_ap(self, request: StrongestApRequest) -> StrongestApResponse:
+    def strongest_ap(
+        self, request: StrongestApRequest, artifact: RemArtifact
+    ) -> StrongestApResponse:
         """Best-serving AP per point (≡ ``rem.strongest_ap_many``)."""
-        rem = self.artifact(request.digest).rem
+        rem = artifact.rem
         macs, rss = rem.strongest_ap_many(request.points)
         return StrongestApResponse(digest=request.digest, macs=macs, rss_dbm=rss)
 
-    def coverage(self, request: CoverageRequest) -> CoverageResponse:
+    def coverage(
+        self, request: CoverageRequest, artifact: RemArtifact
+    ) -> CoverageResponse:
         """Per-AP coverage + dark fraction (≡ the REM reductions)."""
-        rem = self.artifact(request.digest).rem
+        rem = artifact.rem
         return CoverageResponse(
             digest=request.digest,
             threshold_dbm=float(request.threshold_dbm),
@@ -391,9 +453,11 @@ class RemService:
             dark_fraction=rem.dark_fraction(float(request.threshold_dbm)),
         )
 
-    def dark_regions(self, request: DarkRegionsRequest) -> DarkRegionsResponse:
+    def dark_regions(
+        self, request: DarkRegionsRequest, artifact: RemArtifact
+    ) -> DarkRegionsResponse:
         """Unserved lattice points (≡ ``rem.dark_points``)."""
-        rem = self.artifact(request.digest).rem
+        rem = artifact.rem
         threshold = float(request.threshold_dbm)
         points = rem.dark_points(threshold)
         truncated = False

@@ -92,6 +92,72 @@ class TestRadioEnvironmentMap:
         )
 
 
+class TestDerivedFields:
+    """The cached best-server field and the reductions that read it."""
+
+    def _map(self, grid, seed=0):
+        rng = np.random.default_rng(seed)
+        rem = RadioEnvironmentMap(grid, ["m1", "m2", "m3"])
+        rem.set_fields(["m1", "m2"], rng.uniform(-90.0, -40.0, (2,) + grid.shape))
+        return rem
+
+    def test_best_rss_field_is_read_only(self, grid):
+        rem = self._map(grid)
+        best = rem.best_rss_field()
+        assert not best.flags.writeable
+        with pytest.raises(ValueError):
+            best[0, 0, 0] = 0.0
+        np.testing.assert_array_equal(best, rem.field_tensor().max(axis=0))
+        assert not RadioEnvironmentMap(grid, ["m1"]).best_rss_field().flags.writeable
+
+    def test_set_field_invalidates(self, grid):
+        rem = self._map(grid)
+        assert rem.dark_fraction(-20.0) == 1.0
+        before = rem.dark_points(-20.0)
+        rem.set_field("m1", np.full(grid.shape, -10.0))  # replaces a row
+        assert rem.dark_fraction(-20.0) == 0.0
+        assert len(before) == grid.n_points and len(rem.dark_points(-20.0)) == 0
+        rem.set_field("m3", np.full(grid.shape, 0.0))  # appends a row
+        np.testing.assert_array_equal(rem.best_rss_field(), np.zeros(grid.shape))
+
+    def test_set_fields_invalidates(self, grid):
+        rem = self._map(grid)
+        assert rem.dark_fraction(-20.0) == 1.0
+        lit = np.full((1,) + grid.shape, -90.0)
+        lit[0, 0] = -10.0  # one x-slice served
+        rem.set_fields(["m3"], lit)
+        assert rem.dark_fraction(-20.0) == pytest.approx(4.0 / 5.0)
+        assert (rem.dark_points(-20.0)[:, 0] > 0.0).all()
+        rem.set_fields(["m1", "m2"], np.full((2,) + grid.shape, -10.0))
+        assert rem.dark_fraction(-20.0) == 0.0
+        assert rem.dark_points(-20.0).shape == (0, 3)
+
+    @pytest.mark.parametrize("threshold", [-200.0, -65.0, 0.0])
+    def test_dark_points_bit_equal_to_lattice_mask(self, grid, threshold):
+        # -200: empty mask, -65: partial, 0: full.
+        rem = self._map(grid, seed=4)
+        mask = (rem.best_rss_field() < threshold).ravel()
+        expected = grid.points()[mask]
+        dark = rem.dark_points(threshold)
+        assert dark.dtype == expected.dtype and dark.shape == expected.shape
+        assert dark.tobytes() == expected.tobytes()
+
+    def test_coverage_by_mac_with_rows_out_of_vocabulary_order(self, grid):
+        rng = np.random.default_rng(7)
+        fields = rng.uniform(-90.0, -40.0, (3,) + grid.shape)
+        ordered = RadioEnvironmentMap(grid, ["m1", "m2", "m3"])
+        ordered.set_fields(["m1", "m2", "m3"], fields)
+        shuffled = RadioEnvironmentMap(grid, ["m1", "m2", "m3"])
+        shuffled.set_fields(["m3", "m1", "m2"], fields[[2, 0, 1]])
+        assert not shuffled._all_rows()[0]
+        for threshold in (-80.0, -65.0, -50.0):
+            report = shuffled.coverage_by_mac(threshold)
+            assert report == ordered.coverage_by_mac(threshold)
+            assert list(report) == ["m1", "m2", "m3"]
+            for mac in report:
+                assert report[mac] == shuffled.coverage_fraction(mac, threshold)
+
+
 class TestBuildRem:
     def test_build_from_knn(self, rng):
         positions = rng.uniform(0, 2, size=(120, 3))

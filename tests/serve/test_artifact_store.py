@@ -45,6 +45,21 @@ class TestSaveLoad:
         with pytest.raises(KeyError):
             seeded_store.load("0" * 64)
 
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_half_stored_artifact_raises_keyerror(self, tmp_path, mmap):
+        import shutil
+
+        payload_only = make_artifact(seed=7)
+        sidecar_only = make_artifact(seed=8)
+        store = ArtifactStore(tmp_path)
+        store.save(payload_only)
+        store.save(sidecar_only)
+        (tmp_path / f"{payload_only.digest}.json").unlink()
+        shutil.rmtree(tmp_path / sidecar_only.digest)
+        for digest in (payload_only.digest, sidecar_only.digest, "bad\0digest"):
+            with pytest.raises(KeyError):
+                store.load(digest, mmap=mmap)
+
     def test_contains(self, seeded_store, artifacts):
         assert artifacts[0].digest in seeded_store
         assert "0" * 64 not in seeded_store

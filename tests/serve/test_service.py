@@ -114,6 +114,137 @@ class TestBatching:
                 requests_from_list(bad)
 
 
+class TestGroupedBatch:
+    """handle_many looks each digest up once and answers like handle."""
+
+    @pytest.fixture()
+    def mapped(self, seeded_store):
+        # Three stored digests over a capacity-2 LRU: a batch naming all
+        # of them cannot keep every map cached.
+        return RemService(seeded_store, capacity=2, mmap=True)
+
+    def seeded_batch(self, artifacts, seed, n=24):
+        rng = np.random.default_rng(seed)
+        requests = []
+        for _ in range(n):
+            artifact = artifacts[int(rng.integers(len(artifacts)))]
+            points = probe_points(artifact.rem, n=4, seed=int(rng.integers(1 << 30)))
+            threshold = float(np.round(rng.uniform(-80.0, -50.0), 2))
+            kind = int(rng.integers(4))
+            if kind == 0:
+                requests.append(QueryRequest(artifact.digest, points))
+            elif kind == 1:
+                requests.append(StrongestApRequest(artifact.digest, points))
+            elif kind == 2:
+                requests.append(CoverageRequest(artifact.digest, threshold))
+            else:
+                requests.append(
+                    DarkRegionsRequest(artifact.digest, threshold, max_points=16)
+                )
+        return requests
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bytes_match_per_item_answers(self, mapped, seeded_store, artifacts, seed):
+        per_item = RemService(seeded_store, capacity=2, mmap=True)
+        for round_ in range(3):
+            requests = self.seeded_batch(artifacts, seed * 10 + round_)
+            with mapped._lock:
+                absent = {r.digest for r in requests} - set(mapped._cache)
+            before = mapped.cache_info()["misses"]
+            batched = mapped.handle_many(requests)
+            info = mapped.cache_info()
+            assert info["misses"] - before <= len(absent)
+            assert info["peak_size"] <= mapped.capacity
+            assert [r.to_json() for r in batched] == [
+                per_item.handle(r).to_json() for r in requests
+            ]
+
+    def test_one_lookup_per_digest(self, mapped, artifacts):
+        requests = self.seeded_batch(artifacts, seed=9, n=32)
+        digests = {r.digest for r in requests}
+        mapped.handle_many(requests)
+        info = mapped.cache_info()
+        assert info["hits"] + info["misses"] == len(digests)
+        assert info["misses"] == len(digests)  # a cold LRU misses each once
+
+    def test_cached_digests_resolve_first(self, mapped, artifacts):
+        a, b, c = (artifact.digest for artifact in artifacts)
+        point = [[1.0, 1.0, 1.0]]
+        mapped.handle(QueryRequest(a, point))
+        mapped.handle(QueryRequest(b, point))
+        # c is absent: resolving it first would evict a, then reload it.
+        mapped.handle_many(
+            [QueryRequest(c, point), QueryRequest(a, point), QueryRequest(b, point)]
+        )
+        info = mapped.cache_info()
+        assert (info["misses"], info["evictions"]) == (3, 1)
+        assert list(mapped._cache) == [b, c]
+
+    def test_threads_share_one_service(self, mapped, seeded_store, artifacts):
+        import sys
+        import threading
+
+        batches = [self.seeded_batch(artifacts, seed=40 + i, n=12) for i in range(8)]
+        eager = RemService(seeded_store, capacity=3)
+        expected = [[r.to_json() for r in eager.handle_many(b)] for b in batches]
+        got = [None] * len(batches)
+        errors = []
+
+        def work(i):
+            try:
+                for _ in range(3):
+                    got[i] = [r.to_json() for r in mapped.handle_many(batches[i])]
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(i,)) for i in range(len(batches))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert got == expected
+        assert mapped.cache_info()["peak_size"] <= mapped.capacity
+
+    def test_unknown_digest_raises(self, mapped, artifacts):
+        requests = self.seeded_batch(artifacts, seed=5, n=6)
+        requests.insert(3, CoverageRequest("0" * 64, -70.0))
+        with pytest.raises(KeyError):
+            mapped.handle_many(requests)
+
+    def test_first_failing_item_wins(self, mapped, artifacts):
+        digest = artifacts[0].digest
+        bad_points = QueryRequest(digest, [[1.0, 1.0]])  # ValueError
+        unknown = CoverageRequest("0" * 64, -70.0)  # KeyError
+        with pytest.raises(ValueError):
+            mapped.handle_many([bad_points, unknown])
+        with pytest.raises(KeyError):
+            mapped.handle_many([unknown, bad_points])
+        # The cached digest's group runs first and fails at item 1; the
+        # absent digest's item 2 (an unknown MAC) would fail too, later.
+        other = artifacts[1].digest
+        point = [[1.0, 1.0, 1.0]]
+        mapped.handle(QueryRequest(digest, point))
+        with pytest.raises(ValueError):
+            mapped.handle_many([
+                QueryRequest(other, point),
+                bad_points,
+                QueryRequest(other, point, macs=["no:such:mac"]),
+            ])
+        with pytest.raises(TypeError):
+            mapped.handle_many([object(), unknown])
+        with pytest.raises(KeyError):
+            mapped.handle_many([unknown, object()])
+
+
 class TestMmapService:
     def test_mmap_service_matches_eager(self, tmp_path, artifacts):
         from repro.serve import ArtifactStore
@@ -186,6 +317,20 @@ class TestLru:
         assert built.result is not None  # the caller still gets it
         assert service.artifact(built.digest).result is None
         assert_mappable(service.store, built.digest)
+
+    def test_resubmit_caches_the_memory_map(self, tmp_path, tiny_spec):
+        from repro.serve import ArtifactStore
+
+        store = ArtifactStore(tmp_path)
+        built = RemService(store).submit(tiny_spec)
+        service = RemService(store, capacity=2, mmap=True)
+        again = service.submit(tiny_spec)
+        assert again.cache_hit and again.result is None
+        assert again.content_hash() == built.content_hash()
+        cached = service.artifact(built.digest)
+        assert isinstance(cached.rem._stack, np.memmap)
+        assert not cached.cache_hit  # the hit flag is the caller's copy only
+        assert service.cache_info()["misses"] == 1
 
 
 class TestRequestValidation:
