@@ -31,16 +31,35 @@ one tie-band pass per ``p`` that serves the global candidates of every
 final average per ``weights``.
 
 There is one exact neighbor search, :meth:`KnnRegressor._neighbors`.
-It takes rows of any mix of MACs: each row's same-MAC candidates come
-from a padded column table, its other-MAC candidates from the global
-top-2k, and rows those cannot cover share one dense fallback.  Each
-row's candidates, values and order are those of a search over its MAC
-alone, so the query paths batch a whole chunk in one call while the
+It takes rows of any mix of MACs, or one MAC for every row: each row's
+same-MAC candidates come from its MAC's columns (through a padded
+column table when the MACs mix), its other-MAC candidates from the
+global top-2k, and rows those cannot cover share one dense fallback.
+Each row's candidates, values and order are those of a search over its
+MAC alone, so the query paths batch a whole chunk in one call while the
 lattice calls it once per MAC, and both agree bit for bit.
 :meth:`KnnRegressor.neighbors` returns its neighbors sorted by training
 index, and :meth:`KnnRegressor.merge_neighbors` keeps them current
 across :meth:`KnnRegressor.partial_fit` calls by searching only the
 appended rows; the online builder scores its holdout set that way.
+
+A covered row merges its two candidate sets through one more
+:func:`_stable_topk` only when it must.  Let ``T`` be the k-th smallest
+same-MAC value and ``eps`` the tie band :func:`_stable_topk` puts around
+it.  When ``min(other) + penalty - T > eps``, every other-MAC candidate
+lies above ``T`` and outside its band, so the merge would find ``T`` as
+its threshold, select no other-MAC entry, and return the k same-MAC
+entries in their order: the row keeps them as they are, bit for bit.
+The test is conservative (a row that fails it still merges), so it is
+exact.  On the default build's lattice no (row, MAC) cell fails it.
+:meth:`KnnRegressor._candidate_summary` gathers the per-row facts the
+test and the coverage check read once per chunk, so a lattice pass
+checks each MAC in O(N).
+
+Every array the search returns is C-ordered.  Equal values are not
+enough: the weighted average sums each row, numpy's summation order
+follows the memory layout, and a Fortran-ordered neighbor array moves
+the last bits of a map.
 """
 
 from __future__ import annotations
@@ -73,8 +92,15 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     aa = np.sum(a * a, axis=1)[:, None]
     bb = np.sum(b * b, axis=1)[None, :]
     scale = aa + bb
-    sq = np.maximum(scale - 2.0 * (a @ b.T), 0.0)
-    sq[sq <= 1e-12 * scale] = 0.0
+    # ``np.maximum(scale - 2.0 * (a @ b.T), 0.0)`` and the snap, in
+    # place: a lattice chunk's matrix is tens of MB, and each
+    # temporary of that size adds to the build's peak memory.
+    sq = a @ b.T
+    sq *= 2.0
+    np.subtract(scale, sq, out=sq)
+    np.maximum(sq, 0.0, out=sq)
+    scale *= 1e-12
+    sq[sq <= scale] = 0.0
     return sq
 
 
@@ -132,18 +158,28 @@ def _stable_topk(powered: np.ndarray, k: int):
     are broken by **lowest column index** — a deterministic convention,
     unlike raw ``argpartition`` whose introselect pivots make tie
     resolution depend on floating-point noise elsewhere in the row.
+    Both outputs are C-ordered.
     """
     n, m = powered.shape
     if k >= m:
-        idx = np.broadcast_to(np.arange(m), powered.shape)
-        return idx, powered
+        idx = np.broadcast_to(np.arange(m), powered.shape).copy()
+        return idx, np.ascontiguousarray(powered)
     thresh = np.partition(powered, k - 1, axis=1)[:, k - 1 : k]
     eps = _TIE_RTOL * thresh + 1e-15
     less = powered < thresh - eps
-    need = k - less.sum(axis=1, keepdims=True)
     tied = np.abs(powered - thresh) <= eps
-    mask = less | (tied & (np.cumsum(tied, axis=1) <= need))
-    idx = np.nonzero(mask)[1].reshape(n, k)
+    mask = less | tied
+    # A row whose band holds exactly k entries takes them all; only a
+    # crowded row drops its highest-index ties, ``need`` of them kept.
+    crowded = np.flatnonzero(np.count_nonzero(mask, axis=1) > k)
+    if len(crowded):
+        less, tied = less[crowded], tied[crowded]
+        need = k - less.sum(axis=1, keepdims=True)
+        mask[crowded] = less | (tied & (np.cumsum(tied, axis=1) <= need))
+    # Flat positions in row-major order, less each row's offset: the
+    # column indices ``np.nonzero(mask)[1]`` gives, as a C-ordered array.
+    idx = np.flatnonzero(mask).reshape(n, k)
+    idx -= np.arange(0, n * m, m)[:, None]
     return idx, np.take_along_axis(powered, idx, axis=1)
 
 
@@ -168,8 +204,10 @@ def _global_candidates(base: np.ndarray, widths: Sequence[int]):
     else:
         thresh = np.partition(base, widest - 1, axis=1)[:, widest - 1 : widest]
         inside = base <= thresh + 2.0 * (_TIE_RTOL * thresh + 1e-15)
-        rows, cols = np.nonzero(inside)
-        counts = inside.sum(axis=1)
+        # ``np.nonzero(inside)`` from the flat positions: the same
+        # row-major pairs, several times faster on a wide matrix.
+        rows, cols = np.divmod(np.flatnonzero(inside), m)
+        counts = np.bincount(rows, minlength=n)
         slots = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
         band_idx = np.zeros((n, int(counts.max())), dtype=int)
         band_pow = np.full(band_idx.shape, np.inf)
@@ -485,9 +523,10 @@ class KnnRegressor(Predictor):
                 by_k = _group_by(same_p, "n_neighbors")
                 widths = [2 * same_k[0][1].n_neighbors for same_k in by_k]
                 for same_k, candidates in zip(by_k, _global_candidates(base, widths)):
+                    summary = self._candidate_summary(*candidates)
                     for same_scale in _group_by(same_k, "onehot_scale"):
                         neighbor_idx, neighbor_pow = same_scale[0][1]._neighbors(
-                            base, *candidates, chunk_macs
+                            base, *candidates, chunk_macs, summary
                         )
                         neighbor_y = self._train_targets[neighbor_idx]
                         for row, model in same_scale:
@@ -511,9 +550,10 @@ class KnnRegressor(Predictor):
             sl = slice(start, min(start + _GRID_CHUNK_ROWS, len(points)))
             base = _powered_distances(points[sl], self._train_positions, self.p)
             (candidates,) = _global_candidates(base, [2 * self.n_neighbors])
+            summary = self._candidate_summary(*candidates)
             for row, mac_index in enumerate(macs):
                 neighbor_idx, neighbor_pow = self._neighbors(
-                    base, *candidates, np.full(len(base), mac_index)
+                    base, *candidates, int(mac_index), summary
                 )
                 neighbor_y = self._train_targets[neighbor_idx]
                 for out, reduce in zip(outs, reducers):
@@ -530,38 +570,71 @@ class KnnRegressor(Predictor):
         base: np.ndarray,
         global_idx: np.ndarray,
         global_pow: np.ndarray,
-        row_macs: np.ndarray,
+        row_macs,
+        summary=None,
     ):
         """Exact penalized top-k ``(idx, pow)`` of every row for its MAC.
 
-        True penalized neighbors are either same-MAC (covered by the
-        top-k over the row's MAC partition) or other-MAC (covered by the
-        global top-2k whenever it holds enough other-MAC entries).  Rows
-        where it does not, and every row when the candidates cannot
-        help, fall back to the dense search over every training column.
-        Each row's candidates, values and order are those of a search
-        over that row's MAC alone, so rows of any MAC mix batch bit for
-        bit.
+        ``row_macs`` holds each row's MAC, or is one MAC for every row
+        (a lattice pass).  True penalized neighbors are either same-MAC
+        (covered by the top-k over the row's MAC partition) or other-MAC
+        (covered by the global top-2k whenever it holds enough other-MAC
+        entries).  Rows where it does not, and every row when the
+        candidates cannot help, fall back to the dense search over every
+        training column.  A covered row keeps its same-MAC top-k when
+        no other-MAC candidate can enter it (see the module docstring);
+        the other covered rows merge both sets.  Each row's candidates,
+        values and order are those of a search over that row's MAC
+        alone, so rows of any MAC mix batch bit for bit.  ``summary`` is
+        :meth:`_candidate_summary` of the candidates; a lattice pass
+        passes it in, computed once per chunk for every MAC.
         """
         assert self._train_macs is not None and self._train_targets is not None
         n_train = len(self._train_targets)
         penalty = 2.0 * self.onehot_scale**self.p
-        if penalty == 0.0 or global_pow.shape[1] >= n_train:
+        n_rows, width = global_pow.shape
+        if penalty == 0.0 or width >= n_train:
             return self._dense_neighbors(base, row_macs, penalty)
         k = min(self.n_neighbors, n_train)
+        # A row is uncovered only if its MAC holds more than width - k
+        # of the 2k candidates: more than half, the row's majority MAC.
+        assert width == 2 * k
+        if summary is None:
+            summary = self._candidate_summary(global_idx, global_pow)
+        nearest_mac, nearest, runner_up, majority, majority_count = summary
         same_idx, same_pow, n_same = self._same_mac_candidates(base, row_macs, k)
 
-        other_mask = self._train_macs[global_idx] != row_macs[:, None]
-        covered = other_mask.sum(axis=1) >= np.minimum(k, n_train - n_same)
-        other_pow = np.where(other_mask, global_pow + penalty, np.inf)
-
-        cand_pow = np.concatenate([same_pow, other_pow], axis=1)
-        cand_idx = np.concatenate([same_idx, global_idx], axis=1)
-        pick, neighbor_pow = _stable_topk(cand_pow, k)
-        neighbor_idx = np.take_along_axis(cand_idx, pick, axis=1)
+        covered = (majority != row_macs) | (
+            majority_count <= width - np.minimum(k, n_train - n_same)
+        )
+        keep = np.zeros(n_rows, dtype=bool)
+        if same_pow.shape[1] == k:
+            thresh = same_pow.max(axis=1)
+            eps = _TIE_RTOL * thresh + 1e-15
+            other = np.where(nearest_mac == row_macs, runner_up, nearest) + penalty
+            # ``inf - inf`` rows (a row padded below k) compare False.
+            with np.errstate(invalid="ignore"):
+                keep = covered & (n_same >= k) & (other - thresh > eps)
+            if keep.all():
+                return np.ascontiguousarray(same_idx), np.ascontiguousarray(same_pow)
+        neighbor_idx = np.empty((n_rows, k), dtype=int)
+        neighbor_pow = np.empty((n_rows, k))
+        if keep.any():
+            neighbor_idx[keep], neighbor_pow[keep] = same_idx[keep], same_pow[keep]
+        merge = np.flatnonzero(covered & ~keep)
+        if len(merge):
+            macs = row_macs if np.ndim(row_macs) == 0 else row_macs[merge, None]
+            other_mask = self._train_macs[global_idx[merge]] != macs
+            other_pow = np.where(other_mask, global_pow[merge] + penalty, np.inf)
+            cand_pow = np.concatenate([same_pow[merge], other_pow], axis=1)
+            cand_idx = np.concatenate([same_idx[merge], global_idx[merge]], axis=1)
+            pick, neighbor_pow[merge] = _stable_topk(cand_pow, k)
+            neighbor_idx[merge] = np.take_along_axis(cand_idx, pick, axis=1)
         if not covered.all():
             rows = ~covered
-            fallback = self._dense_neighbors(base[rows], row_macs[rows], penalty)
+            fallback = self._dense_neighbors(
+                base[rows], np.broadcast_to(row_macs, n_rows)[rows], penalty
+            )
             neighbor_idx[rows], neighbor_pow[rows] = fallback
         return neighbor_idx, neighbor_pow
 
@@ -634,30 +707,70 @@ class KnnRegressor(Predictor):
         assert self._train_targets is not None
         return self._weighted_average(neighbor_pow, self._train_targets[neighbor_idx])
 
-    def _same_mac_candidates(self, base: np.ndarray, row_macs: np.ndarray, k: int):
+    def _candidate_summary(self, global_idx: np.ndarray, global_pow: np.ndarray):
+        """Per-row facts about the global candidates that every MAC's
+        search reads, or ``None`` when the candidates span every
+        training column (the dense search).
+
+        Returns ``(nearest_mac, nearest, runner_up, majority,
+        majority_count)``:
+
+        * the MAC and value of each row's smallest candidate, and the
+          smallest value among the candidates of every other MAC
+          (``+inf`` when there is none).  The smallest candidate of a
+          MAC other than ``m`` is ``nearest``, or ``runner_up`` when
+          ``nearest_mac == m``; a tie at the minimum across MACs makes
+          the two equal.
+        * the MAC in each row's median slot of the sorted candidate
+          MACs, and its count.  A MAC holding more than half of a row's
+          candidates fills that slot, so every other MAC holds at most
+          half.
+        """
+        assert self._train_macs is not None
+        if global_pow.shape[1] >= len(self._train_macs):
+            return None
+        cand_macs = self._train_macs[global_idx]
+        rows = np.arange(len(cand_macs))
+        first = global_pow.argmin(axis=1)
+        nearest_mac = cand_macs[rows, first]
+        nearest = global_pow[rows, first]
+        runner_up = np.where(
+            cand_macs != nearest_mac[:, None], global_pow, np.inf
+        ).min(axis=1)
+        majority = np.sort(cand_macs, axis=1)[:, cand_macs.shape[1] // 2]
+        majority_count = np.count_nonzero(cand_macs == majority[:, None], axis=1)
+        return nearest_mac, nearest, runner_up, majority, majority_count
+
+    def _same_mac_candidates(self, base: np.ndarray, row_macs, k: int):
         """Each row's top-k ``(idx, pow, count)`` within its own MAC.
 
-        A padded ``(n_macs, width)`` column table gathers every row's
-        same-MAC distances at once; pads read ``+inf`` after the real
-        columns, so they are never selected and leave each row's column
-        order as it was.  Rows whose MAC has at most ``k`` columns take
-        all of them; the rest go through one :func:`_stable_topk`.
+        One MAC for every row (a lattice pass, or a query chunk of one
+        MAC) is a plain column gather.  Rows of mixed MACs gather
+        through a padded ``(n_macs, width)`` column table; pads read
+        ``+inf`` after the real columns, so they are never selected and
+        leave each row's column order as it was.  Rows whose MAC has at
+        most ``k`` columns take all of them; the rest go through one
+        :func:`_stable_topk`.
         """
+        if np.ndim(row_macs) == 0:
+            columns = self._mac_columns.get(row_macs, np.zeros(0, dtype=int))
+            vals = base[:, columns]
+            if len(columns) <= k:
+                return np.broadcast_to(columns, vals.shape), vals, len(columns)
+            pick, same_pow = _stable_topk(vals, k)
+            return columns[pick], same_pow, len(columns)
         macs, inverse = np.unique(row_macs, return_inverse=True)
+        if len(macs) == 1:
+            return self._same_mac_candidates(base, int(macs[0]), k)
         columns = [self._mac_columns.get(int(mac), ()) for mac in macs]
         counts = np.array([len(c) for c in columns], dtype=int)
         table = np.zeros((len(macs), int(counts.max())), dtype=int)
         for row, mac_columns in enumerate(columns):
             table[row, : len(mac_columns)] = mac_columns
         n_same = counts[inverse]
-        if len(macs) == 1:
-            # One MAC (a lattice pass): a plain column gather, no pads.
-            cols = np.broadcast_to(table[0], (len(base), table.shape[1]))
-            vals = base[:, table[0]]
-        else:
-            cols = table[inverse]
-            vals = np.take_along_axis(base, cols, axis=1)
-            vals[np.arange(table.shape[1]) >= n_same[:, None]] = np.inf
+        cols = table[inverse]
+        vals = np.take_along_axis(base, cols, axis=1)
+        vals[np.arange(table.shape[1]) >= n_same[:, None]] = np.inf
         big = n_same > k
         if not big.any():
             return cols[:, :k], vals[:, :k], n_same
@@ -674,6 +787,7 @@ class KnnRegressor(Predictor):
         assert self._train_macs is not None and self._train_targets is not None
         powered = base
         if penalty != 0.0:
+            row_macs = np.broadcast_to(row_macs, len(base))
             powered = penalty * (self._train_macs != row_macs[:, None])
             powered += base
         return _stable_topk(powered, min(self.n_neighbors, len(self._train_targets)))

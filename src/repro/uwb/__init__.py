@@ -12,7 +12,6 @@ from .localization import (
     LocalizationMode,
     PositionEstimator,
     evaluate_hovering_accuracy,
-    multilaterate,
 )
 from .ranging import (
     RangingConfig,
@@ -34,7 +33,6 @@ __all__ = [
     "PositionEstimator",
     "HoveringAccuracyResult",
     "evaluate_hovering_accuracy",
-    "multilaterate",
     "RangingConfig",
     "TwrRanging",
     "TdoaRanging",

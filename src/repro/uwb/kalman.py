@@ -16,23 +16,44 @@ This module implements the position/velocity core of that filter:
   analytic Jacobians, Joseph-form covariance updates and innovation
   gating.
 
-The filter owns its arithmetic buffers.  ``x`` and ``P`` are updated in
-place, and the TDoA burst update works in scratch arrays kept per
-burst size, so the steady tick (the same m anchors every burst)
-allocates nothing but the solve's result.  The recursion runs one tick
-at a time; :class:`~repro.uwb.localization.PositionEstimator` calls it
-for a whole block of recorded ticks when its estimate is read.  Keep
-no reference to ``x`` or ``P`` across calls: copy them, or read
-:attr:`position` / :attr:`velocity`, which return copies.
+The filter owns its arithmetic buffers.  ``P`` is updated in place,
+``predict`` swaps ``x`` with its scratch twin, and the TDoA burst
+update works in scratch arrays kept per burst size, so the steady tick
+(the same m anchors every burst) allocates nothing but the solve's
+result.  The recursion runs one tick at a time;
+:class:`~repro.uwb.localization.PositionEstimator` calls it for a whole
+block of recorded ticks, inside :meth:`PositionVelocityEkf.tick_block`,
+when its estimate is read.  Keep no reference to ``x`` or ``P`` across
+calls: copy them, or read :attr:`position` / :attr:`velocity`, which
+return copies.
+
+The burst update solves ``S [K_nu | K_P] = [nu | P H^T]^T`` in one
+call.  Its right-hand side is stored transposed, as one ``(7, m)``
+buffer whose first row is the innovation and whose other rows are
+``P H^T``: the arithmetic writes both straight into it, and the
+solve reads its ``(m, 7)`` transpose.  LAPACK copies its operands into
+its own column-major work arrays, so the operands' memory layout
+cannot change a bit of the result.  The solve calls numpy's LAPACK
+gufunc directly, under ``np.linalg.solve``'s error state, which skips
+that function's per-call checks; a singular ``S`` still raises
+``LinAlgError``.  The gated path keeps its indexed copies: their
+Fortran order picks the BLAS kernels of the products after the solve.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from functools import partial
+from typing import Dict, Iterator, Optional, Sequence
 
 import numpy as np
+
+try:  # numpy's private LAPACK module: the fallback is the public solve
+    from numpy.linalg._umath_linalg import solve as _gufunc_solve
+except ImportError:  # pragma: no cover - exercised by a patched import
+    _gufunc_solve = None
 
 __all__ = ["EkfConfig", "PositionVelocityEkf"]
 
@@ -53,6 +74,39 @@ class EkfConfig:
     gate_sigma: float = 4.0
 
 
+def _raise_singular(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _linalg_errstate() -> np.errstate:
+    """The error state ``np.linalg.solve`` runs LAPACK under.
+
+    LAPACK flags a singular matrix as an invalid operation, which
+    raises :class:`numpy.linalg.LinAlgError`; overflow, division and
+    underflow pass silently.
+    """
+    return np.errstate(
+        call=_raise_singular,
+        invalid="call",
+        over="ignore",
+        divide="ignore",
+        under="ignore",
+    )
+
+
+if _gufunc_solve is None:
+    _solve = _checked_solve = np.linalg.solve
+else:
+    #: ``np.linalg.solve`` for float64 ``(m, m)`` and ``(m, n)`` operands,
+    #: bit for bit, when called under :func:`_linalg_errstate`.
+    _solve = partial(_gufunc_solve, signature="dd->d")
+
+    def _checked_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """:data:`_solve` under its own error state."""
+        with _linalg_errstate():
+            return _solve(a, b)
+
+
 class _BurstBuffers:
     """Scratch arrays, and the views the update reads, for ``m`` rows."""
 
@@ -66,16 +120,18 @@ class _BurstBuffers:
         self.h = np.empty((m, 3))
         self.h_t = self.h.T
         self.predicted = np.empty(m)
-        self.innovation = np.empty(m)
-        self.pht = np.empty((6, m))
+        # The solve's right-hand side, transposed: row 0 is the
+        # innovation, rows 1-6 are P H^T (see the module docstring).
+        self.rhs_t = np.empty((7, m))
+        self.rhs = self.rhs_t.T
+        self.innovation = self.rhs_t[0]
+        self.pht = self.rhs_t[1:]
         self.pht_pos = self.pht[:3]
         self.S = np.empty((m, m))
         self.S_diag = self.S.reshape(-1)[:: m + 1]
         self.nu2 = np.empty(m)
         self.bound = np.empty(m)
         self.passed = np.empty(m, dtype=bool)
-        self.rhs = np.empty((m, 7))
-        self.rhs_innovation, self.rhs_pht = self.rhs[:, 0], self.rhs[:, 1:]
 
 
 class PositionVelocityEkf:
@@ -110,6 +166,7 @@ class PositionVelocityEkf:
         self._FP = np.empty((self.STATE_DIM, self.STATE_DIM))
         self._FPF = np.empty((self.STATE_DIM, self.STATE_DIM))
         self._bursts: Dict[int, _BurstBuffers] = {}
+        self._solve = _checked_solve
 
     # ------------------------------------------------------------------
     @property
@@ -125,6 +182,24 @@ class PositionVelocityEkf:
     def position_std(self) -> np.ndarray:
         """Per-axis position standard deviation."""
         return np.sqrt(np.clip(np.diag(self.P)[:3], 0.0, None))
+
+    @contextmanager
+    def tick_block(self) -> Iterator[None]:
+        """Run a block of :meth:`predict` / :meth:`update_tdoa_stacked`
+        calls under one linalg error state.
+
+        Inside the block the burst solve skips entering that state per
+        call; its results and its ``LinAlgError`` for a singular ``S``
+        are those of a call outside the block.  Every ufunc in the block
+        runs under that state, so an invalid operation anywhere in it
+        raises ``LinAlgError`` rather than warn.
+        """
+        with _linalg_errstate():
+            self._solve = _solve
+            try:
+                yield
+            finally:
+                self._solve = _checked_solve
 
     # ------------------------------------------------------------------
     def predict(self, dt: float) -> None:
@@ -145,7 +220,8 @@ class PositionVelocityEkf:
                 Q[i + 3, i + 3] = q * dt2
             self._last_dt = dt
         F = self._F
-        np.copyto(self.x, np.matmul(F, self.x, out=self._x_next))
+        np.matmul(F, self.x, out=self._x_next)
+        self.x, self._x_next = self._x_next, self.x
         np.matmul(F, self.P, out=self._FP)
         np.matmul(self._FP, F.T, out=self._FPF)
         np.add(self._FPF, self._Q, out=self.P)
@@ -246,7 +322,7 @@ class PositionVelocityEkf:
         predicted = np.subtract(buf.norms_b, buf.norms_a, out=buf.predicted)
         innovation = np.subtract(z, predicted, out=buf.innovation)
         r_var = sigma_m * sigma_m
-        pht = np.matmul(self.P[:, :3], buf.h_t, out=buf.pht)  # (6, m)
+        pht = np.matmul(self.P[:, :3], buf.h_t, out=buf.pht)  # (6, m), in rhs_t
         S = np.matmul(h, buf.pht_pos, out=buf.S)
         buf.S_diag += r_var
         # Marginal gate per row: nu_i^2 <= gate^2 S_ii.
@@ -267,15 +343,15 @@ class PositionVelocityEkf:
             innovation = innovation[passed]
             S = S[np.ix_(passed, passed)]
             buf = self._burst(accepted)
+            buf.innovation[...] = innovation
+            buf.pht[...] = pht
         # K = P H^T S^-1 applied without forming K: one solve covers
         # both the weighted innovations (first column) and the
         # covariance correction (the rest).  The downdate form is safe
         # here: S carries the full r_var I regularization, the result
         # is re-symmetrized, and every predict() re-inflates P with Q
         # — a long-run PSD test guards this path.
-        buf.rhs_innovation[...] = innovation
-        buf.rhs_pht[...] = pht.T
-        solved = np.linalg.solve(S, buf.rhs)
+        solved = self._solve(S, buf.rhs)
         self.x += np.matmul(pht, solved[:, 0], out=self._gain)
         self.P -= np.matmul(pht, solved[:, 1:], out=self._FP)
         self._symmetrize()

@@ -11,6 +11,7 @@ read of the estimate (:attr:`~PositionEstimator.position`,
 one block.  The TDoA block's measurements come from one
 :meth:`~repro.uwb.ranging.TdoaRanging.measure_stacked` call in
 per-tick draw order, and the filter recursion still runs tick by tick,
+inside one :meth:`~repro.uwb.kalman.PositionVelocityEkf.tick_block`,
 so the estimate equals the tick-by-tick filter's bit for bit.  An error
 from a tick, such as the ``LinAlgError`` of a zero measurement sigma,
 surfaces at the next read.  :meth:`PositionEstimator.step` is the
@@ -38,43 +39,7 @@ __all__ = [
     "PositionEstimator",
     "HoveringAccuracyResult",
     "evaluate_hovering_accuracy",
-    "multilaterate",
 ]
-
-
-def multilaterate(
-    anchor_positions: np.ndarray,
-    ranges: np.ndarray,
-    iterations: int = 20,
-    initial_guess: Optional[Sequence[float]] = None,
-) -> np.ndarray:
-    """Gauss-Newton multilateration from ranges to known anchors.
-
-    Used to initialize the EKF before any filtering history exists
-    (e.g. right after the tag powers up on the launch pad).
-    """
-    anchors = np.asarray(anchor_positions, dtype=float)
-    r = np.asarray(ranges, dtype=float)
-    if anchors.shape[0] != r.shape[0]:
-        raise ValueError("anchor/range count mismatch")
-    if anchors.shape[0] < 4:
-        raise ValueError("multilateration needs at least 4 ranges")
-    x = (
-        np.asarray(initial_guess, dtype=float)
-        if initial_guess is not None
-        else anchors.mean(axis=0)
-    )
-    for _ in range(iterations):
-        deltas = x - anchors
-        dists = np.linalg.norm(deltas, axis=1)
-        dists = np.maximum(dists, 1e-9)
-        residuals = dists - r
-        J = deltas / dists[:, None]
-        step, *_ = np.linalg.lstsq(J, residuals, rcond=None)
-        x = x - step
-        if np.linalg.norm(step) < 1e-10:
-            break
-    return x
 
 
 class LocalizationMode:
@@ -199,9 +164,10 @@ class PositionEstimator:
         update = ekf.update_tdoa_stacked
         sigma = self.ranging_config.tdoa_sigma_m
         stacked, diffs = self._tdoa.measure_stacked(positions, rng)
-        for dt, pairs, z in zip(dts, stacked, diffs):
-            predict(dt)
-            update(pairs, z, sigma)
+        with ekf.tick_block():
+            for dt, pairs, z in zip(dts, stacked, diffs):
+                predict(dt)
+                update(pairs, z, sigma)
 
     def error_m(self, true_position: Sequence[float]) -> float:
         """Euclidean error of the current estimate."""

@@ -56,3 +56,8 @@ def test_default_spec_pins_the_tuned_build():
     assert artifact.provenance["test_rmse_dbm"] == pytest.approx(
         3.7876941658324617, abs=1e-9
     )
+    # Every byte of the REM and its uncertainty map: the UWB filter,
+    # the grid search and the lattice pass all keep their bits.
+    assert artifact.content_hash() == (
+        "711517090705d6be2abee1cf25bed83146a83f1f49ca60b56e56cd014f586477"
+    )

@@ -12,7 +12,7 @@ from repro.link import BoundedQueue
 from repro.radio import BandSegment, band_overlap_mhz, overlap_fraction
 from repro.radio.geometry import Wall, crossed_walls
 from repro.radio.materials import DRYWALL
-from repro.uwb import PositionVelocityEkf, multilaterate
+from repro.uwb import PositionVelocityEkf
 from tests.core.test_predictors import dataset_from_arrays
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -94,21 +94,6 @@ class TestEkfProperties:
         eigenvalues = np.linalg.eigvalsh(ekf.P)
         assert eigenvalues.min() > -1e-8
         assert np.allclose(ekf.P, ekf.P.T)
-
-
-class TestMultilaterationProperties:
-    @settings(deadline=None, max_examples=30)
-    @given(seed=st.integers(0, 10_000))
-    def test_recovers_noiseless_point_inside_hull(self, seed):
-        rng = np.random.default_rng(seed)
-        anchors = np.array(
-            [[0, 0, 0], [4, 0, 0], [0, 4, 0], [0, 0, 3], [4, 4, 3], [4, 0, 3]],
-            dtype=float,
-        )
-        truth = rng.uniform(0.5, 3.0, 3)
-        ranges = np.linalg.norm(anchors - truth, axis=1)
-        estimate = multilaterate(anchors, ranges)
-        assert np.linalg.norm(estimate - truth) < 1e-4
 
 
 class TestKnnProperties:

@@ -10,29 +10,12 @@ from repro.uwb import (
     RangingConfig,
     corner_layout,
     evaluate_hovering_accuracy,
-    multilaterate,
 )
 
 
 @pytest.fixture()
 def layout():
     return corner_layout(Cuboid((0.0, 0.0, 0.0), (3.74, 3.20, 2.10)))
-
-
-class TestMultilateration:
-    def test_recovers_noiseless_position(self, layout):
-        truth = np.array([1.2, 2.0, 0.7])
-        ranges = np.linalg.norm(layout.positions - truth, axis=1)
-        estimate = multilaterate(layout.positions, ranges)
-        assert np.allclose(estimate, truth, atol=1e-6)
-
-    def test_requires_four_ranges(self, layout):
-        with pytest.raises(ValueError):
-            multilaterate(layout.positions[:3], np.ones(3))
-
-    def test_mismatched_inputs_rejected(self, layout):
-        with pytest.raises(ValueError):
-            multilaterate(layout.positions, np.ones(3))
 
 
 class TestPositionEstimator:
