@@ -166,8 +166,11 @@ class Crazyflie:
     def estimated_position(self) -> np.ndarray:
         """The on-board EKF estimate (what annotates samples).
 
-        The control loop only records UWB ticks; this read runs the
-        ones still pending, so the estimate is current as of now.
+        The control loop only records UWB ticks; this read filters the
+        pending ones of the last
+        :data:`~repro.uwb.localization.WINDOW_S` seconds (restarting
+        the filter from its last position when older ones are dropped),
+        so the estimate is current as of the last tick.
         """
         return self.estimator.position
 

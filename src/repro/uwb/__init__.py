@@ -15,7 +15,6 @@ from .localization import (
 )
 from .ranging import (
     RangingConfig,
-    TdoaMeasurement,
     TdoaRanging,
     TwrMeasurement,
     TwrRanging,
@@ -37,5 +36,4 @@ __all__ = [
     "TwrRanging",
     "TdoaRanging",
     "TwrMeasurement",
-    "TdoaMeasurement",
 ]

@@ -150,9 +150,7 @@ class PositionVelocityEkf:
         self.x[:3] = np.asarray(initial_position, dtype=float)
         if initial_velocity is not None:
             self.x[3:] = np.asarray(initial_velocity, dtype=float)
-        p0 = self.config.initial_position_std**2
-        v0 = self.config.initial_velocity_std**2
-        self.P = np.diag([p0, p0, p0, v0, v0, v0])
+        self.P = self._prior_covariance()
         self.rejected_updates = 0
         self.accepted_updates = 0
         # The control loop calls predict() at a fixed rate, so the
@@ -178,6 +176,18 @@ class PositionVelocityEkf:
     def velocity(self) -> np.ndarray:
         """Current velocity estimate."""
         return self.x[3:].copy()
+
+    def restart(self) -> None:
+        """Restart the filter where it stands: keep the position
+        estimate, zero the velocity and reset ``P`` to the take-off
+        prior of :class:`EkfConfig`."""
+        self.x[3:] = 0.0
+        self.P[...] = self._prior_covariance()
+
+    def _prior_covariance(self) -> np.ndarray:
+        p0 = self.config.initial_position_std**2
+        v0 = self.config.initial_velocity_std**2
+        return np.diag([p0, p0, p0, v0, v0, v0])
 
     def position_std(self) -> np.ndarray:
         """Per-axis position standard deviation."""
@@ -247,31 +257,6 @@ class PositionVelocityEkf:
         h = np.array([dx, dy, dz]) / predicted
         return self._scalar_update(measured_range_m - predicted, h, sigma_m**2)
 
-    def update_tdoa(
-        self,
-        anchor_a: Sequence[float],
-        anchor_b: Sequence[float],
-        measured_difference_m: float,
-        sigma_m: float,
-    ) -> bool:
-        """TDoA update: ``z = |p - b| - |p - a| + noise``."""
-        x = self.x
-        dax, day, daz = x[0] - anchor_a[0], x[1] - anchor_a[1], x[2] - anchor_a[2]
-        dbx, dby, dbz = x[0] - anchor_b[0], x[1] - anchor_b[1], x[2] - anchor_b[2]
-        norm_a = math.sqrt(dax * dax + day * day + daz * daz)
-        norm_b = math.sqrt(dbx * dbx + dby * dby + dbz * dbz)
-        if norm_a < 1e-6 or norm_b < 1e-6:
-            return False
-        predicted = norm_b - norm_a
-        h = np.array(
-            [
-                dbx / norm_b - dax / norm_a,
-                dby / norm_b - day / norm_a,
-                dbz / norm_b - daz / norm_a,
-            ]
-        )
-        return self._scalar_update(measured_difference_m - predicted, h, sigma_m**2)
-
     def update_tdoa_stacked(
         self,
         stacked_anchors: np.ndarray,
@@ -291,8 +276,8 @@ class PositionVelocityEkf:
         measurement update, equivalent to iterating scalar updates
         *without* per-row relinearization and exact for simultaneous
         measurements.  Each row is still innovation-gated individually
-        against its marginal variance before the joint solve, matching
-        :meth:`update_tdoa`'s NLoS protection.  One small linear solve
+        against its marginal variance before the joint solve, the
+        scalar filter's NLoS protection.  One small linear solve
         replaces ~m scalar Joseph updates.
 
         Returns how many rows passed the gate.

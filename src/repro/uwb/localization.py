@@ -7,15 +7,23 @@ to *annotate* REM samples with locations (the whole point of §II-B).
 The estimate never steers the simulated flight, so the estimator runs
 open loop: :meth:`PositionEstimator.record` only queues a tick, and a
 read of the estimate (:attr:`~PositionEstimator.position`,
-:meth:`~PositionEstimator.error_m`) first runs every pending tick as
-one block.  The TDoA block's measurements come from one
-:meth:`~repro.uwb.ranging.TdoaRanging.measure_stacked` call in
-per-tick draw order, and the filter recursion still runs tick by tick,
-inside one :meth:`~repro.uwb.kalman.PositionVelocityEkf.tick_block`,
-so the estimate equals the tick-by-tick filter's bit for bit.  An error
-from a tick, such as the ``LinAlgError`` of a zero measurement sigma,
-surfaces at the next read.  :meth:`PositionEstimator.step` is the
-one-tick case: record, then read.
+:meth:`~PositionEstimator.error_m`) first runs the pending ticks as one
+block.  A read filters only the ticks of the last :data:`WINDOW_S`
+seconds.  Older pending ticks are dropped and draw nothing, and the
+filter then restarts from a reset
+(:meth:`~repro.uwb.kalman.PositionVelocityEkf.restart`): it keeps its
+last position estimate, with zero velocity and the take-off covariance.
+A read whose pending ticks all fit in the window continues the filter.
+The campaign reads the estimate once per scan, after the UAV has
+hovered for longer than the window, so every scan is annotated by a
+filter that has settled on the same hover it measures.  The TDoA
+block's measurements come from one
+:meth:`~repro.uwb.ranging.TdoaRanging.measure_stacked` call, and the
+filter recursion runs tick by tick inside one
+:meth:`~repro.uwb.kalman.PositionVelocityEkf.tick_block`.  An error
+from a tick surfaces at the read.  :meth:`PositionEstimator.step` is
+the one-tick case: record, then read; a reader that steps every tick
+never drops one.
 
 :func:`evaluate_hovering_accuracy` reproduces the experiment behind the
 paper's quoted numbers — a tag hovering at a fixed point, filtered with
@@ -35,11 +43,19 @@ from .kalman import EkfConfig, PositionVelocityEkf
 from .ranging import RangingConfig, TdoaRanging, TwrRanging
 
 __all__ = [
+    "WINDOW_S",
     "LocalizationMode",
     "PositionEstimator",
     "HoveringAccuracyResult",
     "evaluate_hovering_accuracy",
 ]
+
+
+#: Seconds of recorded ticks a read filters: 50 TDoA ticks at 25 Hz,
+#: inside the 2.6 s a scan hovers (startup plus scan) before its read.
+WINDOW_S = 2.0
+# Rounding slack, so that 50 ticks of 0.04 s fill a 2 s window.
+_WINDOW_SLACK_S = 1e-9
 
 
 class LocalizationMode:
@@ -79,6 +95,10 @@ class PositionEstimator:
         self.layout = layout
         self.mode = mode
         self.ranging_config = ranging_config or RangingConfig()
+        sigma_name = f"{mode}_sigma_m"
+        if not getattr(self.ranging_config, sigma_name) > 0:
+            # R = sigma^2 I regularizes every update's S = H P H^T + R.
+            raise ValueError(f"{sigma_name} must be > 0 to filter {mode} updates")
         self.ekf = PositionVelocityEkf(initial_position, ekf_config)
         self._twr = TwrRanging(layout, self.ranging_config)
         self._tdoa = TdoaRanging(layout, self.ranging_config)
@@ -111,7 +131,8 @@ class PositionEstimator:
         ``true_position`` (copied) is the ground-truth tag location the
         simulated radio measurements are generated from, and ``rng``
         the stream they are drawn from.  Nothing is drawn or filtered
-        until the estimate is read; every pending tick must share one
+        until the estimate is read, and a tick that falls out of the
+        read's window never draws; every pending tick must share one
         stream, so a different ``rng`` raises ``ValueError``.
         """
         n = self._n_pending
@@ -133,14 +154,14 @@ class PositionEstimator:
         return self.position
 
     def _catch_up(self) -> None:
-        """Run every pending tick, in order, as one block.
+        """Run the pending ticks of the last :data:`WINDOW_S` seconds.
 
-        The measurements of a TDoA block are drawn in one
-        :meth:`~repro.uwb.ranging.TdoaRanging.measure_stacked` call,
-        which keeps the per-tick draw order; the filter recursion then
-        runs tick by tick.  An error from a tick (such as the
-        ``LinAlgError`` of a zero measurement sigma) surfaces here, at
-        the read, and drops the rest of the block.
+        Older ticks are dropped, and the filter restarts from a reset
+        before the rest run.  The measurements of a TDoA block are drawn
+        in one :meth:`~repro.uwb.ranging.TdoaRanging.measure_stacked`
+        call; the filter recursion then runs tick by tick.  An error
+        from a tick surfaces here, at the read, and drops the rest of
+        the block.
         """
         n = self._n_pending
         if not n:
@@ -148,11 +169,17 @@ class PositionEstimator:
         self._n_pending = 0
         rng = self._pending_rng
         self._pending_rng = None
-        dts = self._pending_dt[:n].tolist()
-        positions = self._pending_positions[:n]
+        # A tick is in the window when its own interval is: the last
+        # one always is.
+        spans = np.cumsum(self._pending_dt[n - 1 :: -1])
+        kept = max(1, int(np.searchsorted(spans, WINDOW_S + _WINDOW_SLACK_S, "right")))
         # Bound on the instance, so a wrap on the class still sees
         # every call.
         ekf = self.ekf
+        if kept < n:
+            ekf.restart()
+        dts = self._pending_dt[n - kept : n].tolist()
+        positions = self._pending_positions[n - kept : n]
         predict = ekf.predict
         if self.mode == LocalizationMode.TWR:
             sigma = self.ranging_config.twr_sigma_m

@@ -17,12 +17,15 @@ Both models include optional NLoS excess-delay bias: a body or wall in
 the path stretches the first path, always *adding* range.
 
 :meth:`TdoaRanging.measure_stacked` measures one burst or an ``(n, 3)``
-block of bursts, the pending ticks a
-:class:`~repro.uwb.localization.PositionEstimator` catches up on.  A
-block whose bursts all see the whole layout computes its geometry and
-noise arithmetic in one pass; its draws stay one burst at a time, in
-the same stream order as n single calls, because the NLoS draw has a
-data-dependent length.  Every call returns fresh arrays.
+block of bursts, the window of recorded ticks a
+:class:`~repro.uwb.localization.PositionEstimator` filters when its
+estimate is read.  A block draws its noise in three fixed-shape calls,
+whatever the geometry: ``random((n, 2m))`` gates the NLoS biases,
+``uniform((n, 2m))`` gives the biases (kept where a gate fired), and
+``standard_normal((n, m))`` the timestamping noise, with m the number
+of anchors.  A burst that sees only some anchors uses the first columns
+of its rows.  So a block is not n one-burst calls: the stream order is
+per block.  Every call returns fresh arrays.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .anchors import Anchor, AnchorLayout
 __all__ = [
     "RangingConfig",
     "TwrMeasurement",
-    "TdoaMeasurement",
     "TwrRanging",
     "TdoaRanging",
 ]
@@ -70,15 +72,6 @@ class TwrMeasurement:
     range_m: float
 
 
-@dataclass(frozen=True)
-class TdoaMeasurement:
-    """One distance-difference between an anchor pair."""
-
-    anchor_a: Anchor
-    anchor_b: Anchor
-    difference_m: float
-
-
 class _RangingBase:
     """Shared noise machinery for both ranging modes."""
 
@@ -86,23 +79,20 @@ class _RangingBase:
         self.layout = layout
         self.config = config or RangingConfig()
 
-    def _nlos_biases(self, rng: np.random.Generator, biases: np.ndarray) -> np.ndarray:
-        """One NLoS excess-delay draw per measurement, into zeroed ``biases``.
+    def _nlos_biases(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """NLoS excess-delay biases of ``shape``, in two fixed-shape draws.
 
-        One Bernoulli block gates the measurements, and the uniform
-        bias is only drawn for the measurements whose gate fired.
+        A Bernoulli block gates the measurements, then a uniform block
+        of the same shape gives every bias; the biases whose gate did
+        not fire are zeroed.  Nothing is drawn when NLoS is off.
         """
         cfg = self.config
         if cfg.nlos_probability <= 0:
-            return biases
-        hits = rng.random(len(biases)) < cfg.nlos_probability
-        n_hits = int(np.count_nonzero(hits))
-        if n_hits:
-            biases[hits] = rng.uniform(0.0, cfg.nlos_bias_max_m, size=n_hits)
+            return np.zeros(shape)
+        hits = rng.random(shape) < cfg.nlos_probability
+        biases = rng.uniform(0.0, cfg.nlos_bias_max_m, size=shape)
+        biases *= hits
         return biases
-
-    def _visible(self, position: Sequence[float]) -> List[Anchor]:
-        return self.layout.in_range(position, self.config.max_range_m)
 
     def _visible_with_distances(self, p: np.ndarray):
         """In-range anchors plus their true distances, one batched pass."""
@@ -126,7 +116,7 @@ class TwrRanging(_RangingBase):
         """Ranges to every in-range anchor (one TWR cycle).
 
         The whole cycle's noise comes from vectorized blocks: one
-        Gaussian draw per anchor plus the NLoS bias block.
+        Gaussian draw per anchor, then the NLoS gate and bias blocks.
         """
         p = np.asarray(position, dtype=float)
         visible, true_ranges = self._visible_with_distances(p)
@@ -136,7 +126,7 @@ class TwrRanging(_RangingBase):
         noisy = (
             true_ranges
             + rng.normal(0.0, self.config.twr_sigma_m, size=count)
-            + self._nlos_biases(rng, np.zeros(count))
+            + self._nlos_biases(rng, count)
         )
         return [
             TwrMeasurement(anchor=anchor, range_m=max(float(r), 0.0))
@@ -160,23 +150,6 @@ class TdoaRanging(_RangingBase):
         super().__init__(layout, config)
         self._pair_cache = None
 
-    def measure_all(
-        self, position: Sequence[float], rng: np.random.Generator
-    ) -> List[TdoaMeasurement]:
-        """One TDoA packet burst: differences between consecutive anchors.
-
-        The LPS TDoA3 schedule effectively yields differences between
-        successive transmitters; this model pairs each in-range anchor
-        with the next one.
-        """
-        visible, differences = self._measure_visible(position, rng)
-        return [
-            TdoaMeasurement(anchor_a=a, anchor_b=b, difference_m=float(diff))
-            for (a, b), diff in zip(
-                zip(visible, visible[1:] + visible[:1]), differences
-            )
-        ]
-
     def measure_stacked(self, position: Sequence[float], rng: np.random.Generator):
         """Bursts as ``(stacked_pair_anchors, differences)``.
 
@@ -190,11 +163,9 @@ class TdoaRanging(_RangingBase):
         anchors are a cached read-only array.
 
         An ``(n, 3)`` block of positions (n bursts in time order) gives
-        two length-n sequences, one entry per burst, and leaves the
-        stream exactly where n one-position calls would.  When every
-        burst sees the whole layout, the geometry and the noise
-        arithmetic run once over the block, and ``differences`` is one
-        ``(n, m)`` array; otherwise each burst is measured on its own.
+        two length-n sequences, one entry per burst, and draws its noise
+        as one block (see the module docstring).  When every burst sees
+        the whole layout, ``differences`` is one ``(n, m)`` array.
         """
         p = np.asarray(position, dtype=float)
         if p.ndim == 1:
@@ -207,22 +178,34 @@ class TdoaRanging(_RangingBase):
         delta = self.layout.positions - p[:, None]
         distances = np.einsum("nij,nij->ni", delta, delta)
         np.sqrt(distances, out=distances)
-        if distances.shape[1] >= 2 and (distances <= self.config.max_range_m).all():
-            return [self._all_anchor_pairs()] * len(p), self._noisy_differences(
-                distances, rng
+        n, count = distances.shape
+        biases = self._nlos_biases(rng, (n, 2 * count))
+        noise = rng.standard_normal((n, count))
+        noise *= self.config.tdoa_sigma_m
+        visible = distances <= self.config.max_range_m
+        if count >= 2 and visible.all():
+            pairs = self._all_anchor_pairs()
+            return [pairs] * n, self._differences(distances, biases, noise)
+        stacked, differences = [], []
+        for i, seen in enumerate(visible):
+            m = int(np.count_nonzero(seen))
+            if m < 2:
+                stacked.append(np.zeros((0, 3)))
+                differences.append(np.zeros(0))
+                continue
+            if m == count:
+                stacked.append(self._all_anchor_pairs())
+            else:
+                pairs = np.empty((2 * m, 3))
+                pairs[:m] = self.layout.positions[seen]
+                pairs[m:-1] = pairs[1:m]
+                pairs[-1] = pairs[0]
+                stacked.append(pairs)
+            row = slice(i, i + 1)
+            differences.append(
+                self._differences(distances[row, seen], biases[row], noise[row])[0]
             )
-        if len(p) > 1:
-            bursts = [self._measure_block(row[None], rng) for row in p]
-            return [b[0][0] for b in bursts], [b[1][0] for b in bursts]
-        visible, differences = self._measure_visible(p[0], rng)
-        m = len(differences)
-        if not m:
-            return [np.zeros((0, 3))], [differences]
-        stacked = np.empty((2 * m, 3))
-        stacked[:m] = [a.position for a in visible]
-        stacked[m:-1] = stacked[1:m]
-        stacked[-1] = stacked[0]
-        return [stacked], [differences]
+        return stacked, differences
 
     def _all_anchor_pairs(self) -> np.ndarray:
         if self._pair_cache is None:
@@ -238,45 +221,26 @@ class TdoaRanging(_RangingBase):
             self._pair_cache = stacked
         return self._pair_cache
 
-    def _measure_visible(self, position: Sequence[float], rng: np.random.Generator):
-        """Visible anchors and their noisy consecutive-pair differences."""
-        p = np.asarray(position, dtype=float)
-        visible, distances = self._visible_with_distances(p)
-        if len(visible) < 2:
-            return visible, np.zeros(0)
-        return visible, self._noisy_differences(distances[None], rng)[0]
-
-    def _noisy_differences(
-        self, distances: np.ndarray, rng: np.random.Generator
+    @staticmethod
+    def _differences(
+        distances: np.ndarray, biases: np.ndarray, noise: np.ndarray
     ) -> np.ndarray:
         """Noisy db - da for consecutive (wrap-around) anchor pairs.
 
-        ``distances`` is ``(n, count)``: n bursts over the same
-        ``count`` anchors.  Each burst draws one noise block per term,
-        in burst order: the two independent NLoS biases of each pair's
-        anchors (one 2*count block, split between the a- and b-side),
-        then Gaussian timestamping noise.  The whole-layout path and
-        the partial-visibility path both rely on this single
-        implementation for their RNG stream contract:
-        ``random(2m)`` → ``uniform(hits)`` → ``normal(m)`` per burst.
-        The draws have data-dependent lengths, so they stay one burst
-        at a time; the arithmetic then runs over the whole block.
+        ``distances`` is ``(n, m)``: n bursts over the same m visible
+        anchors.  ``biases`` (the a-side biases, then the b-side ones)
+        and the scaled timestamping ``noise`` come from a block over all
+        ``count >= m`` anchors; pair ``j`` takes column ``j`` of each
+        side, so a partly visible burst uses the first columns.
         """
-        n, count = distances.shape
-        biases = np.zeros((n, 2 * count))
-        noise = np.empty((n, count))
-        for burst_biases, burst_noise in zip(biases, noise):
-            self._nlos_biases(rng, burst_biases)
-            # Generator.normal(0, s) draws loc + s * z from the same
-            # standard-normal stream; adding loc = 0.0 changes no sum.
-            rng.standard_normal(out=burst_noise)
+        m = distances.shape[1]
+        count = noise.shape[1]
         # Each pair's b-side anchor is the next one, wrapping around.
         out = np.roll(distances, -1, axis=1)
         out -= distances
-        noise *= self.config.tdoa_sigma_m
-        out += noise
-        out += biases[:, :count]
-        out -= biases[:, count:]
+        out += noise[:, :m]
+        out += biases[:, :m]
+        out -= biases[:, count : count + m]
         return out
 
     @property

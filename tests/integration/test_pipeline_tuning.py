@@ -54,10 +54,10 @@ def test_default_spec_pins_the_tuned_build():
         "onehot_scale": 3.0,
     }
     assert artifact.provenance["test_rmse_dbm"] == pytest.approx(
-        3.7876941658324617, abs=1e-9
+        3.804811309250623, abs=1e-9
     )
     # Every byte of the REM and its uncertainty map: the UWB filter,
     # the grid search and the lattice pass all keep their bits.
     assert artifact.content_hash() == (
-        "711517090705d6be2abee1cf25bed83146a83f1f49ca60b56e56cd014f586477"
+        "02fa318c4dea71fd38809fe42a55e2b486271cd35ef95242ece92e403bc25815"
     )

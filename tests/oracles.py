@@ -11,11 +11,20 @@ so that a rewrite for speed can be checked byte for byte against it.
   row's same-MAC and global candidates through one top-k, and that
   gathers a lattice pass's same-MAC columns through the padded table of
   the mixed-MAC query path.
+* :func:`reference_update_tdoa` — the scalar TDoA filter update, one
+  anchor pair at a time.
+* :func:`reference_measure_all` — one TDoA burst as
+  :class:`TdoaMeasurement` records, under the block draw contract.
+* :class:`ReferenceTdoaFilter` — the TDoA tick (predict, measure,
+  update) with every step allocating, and the windowed catch-up of a
+  read written as a plain loop.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +34,7 @@ from repro.core.predictors.knn import (
     KnnRegressor,
     _group_by,
 )
+from repro.uwb.anchors import Anchor
 
 
 def reference_squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -242,3 +252,185 @@ class ReferenceKnn(KnnRegressor):
         return reference_stable_topk(
             powered, min(self.n_neighbors, len(self._train_targets))
         )
+
+
+# ----------------------------------------------------------------------
+# UWB
+# ----------------------------------------------------------------------
+def reference_update_tdoa(
+    ekf, anchor_a, anchor_b, measured_difference_m: float, sigma_m: float
+) -> bool:
+    """Scalar TDoA update of ``ekf``: ``z = |p - b| - |p - a| + noise``."""
+    x = ekf.x
+    dax, day, daz = x[0] - anchor_a[0], x[1] - anchor_a[1], x[2] - anchor_a[2]
+    dbx, dby, dbz = x[0] - anchor_b[0], x[1] - anchor_b[1], x[2] - anchor_b[2]
+    norm_a = math.sqrt(dax * dax + day * day + daz * daz)
+    norm_b = math.sqrt(dbx * dbx + dby * dby + dbz * dbz)
+    if norm_a < 1e-6 or norm_b < 1e-6:
+        return False
+    predicted = norm_b - norm_a
+    h = np.array(
+        [
+            dbx / norm_b - dax / norm_a,
+            dby / norm_b - day / norm_a,
+            dbz / norm_b - daz / norm_a,
+        ]
+    )
+    return ekf._scalar_update(measured_difference_m - predicted, h, sigma_m**2)
+
+
+@dataclass(frozen=True)
+class TdoaMeasurement:
+    """One distance-difference between an anchor pair."""
+
+    anchor_a: Anchor
+    anchor_b: Anchor
+    difference_m: float
+
+
+def reference_block_noise(config, n: int, count: int, rng):
+    """A block's draws: NLoS biases ``(n, 2 count)``, scaled noise ``(n, count)``."""
+    biases = np.zeros((n, 2 * count))
+    if config.nlos_probability > 0:
+        hits = rng.random((n, 2 * count)) < config.nlos_probability
+        uniform = rng.uniform(0.0, config.nlos_bias_max_m, size=(n, 2 * count))
+        biases = np.where(hits, uniform, 0.0)
+    noise = rng.standard_normal((n, count)) * config.tdoa_sigma_m
+    return biases, noise
+
+
+def reference_burst(positions, config, p, biases, noise):
+    """One burst's stacked pairs, differences and visible anchor indices."""
+    count = len(positions)
+    delta = positions - p
+    distances = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+    seen = np.flatnonzero(distances <= config.max_range_m)
+    m = len(seen)
+    if m < 2:
+        return np.zeros((0, 3)), np.zeros(0), seen
+    visible, da = positions[seen], distances[seen]
+    db = np.roll(da, -1)
+    diffs = db - da + noise[:m] + biases[:m] - biases[count : count + m]
+    return np.concatenate([visible, np.roll(visible, -1, axis=0)]), diffs, seen
+
+
+def reference_measure_all(tdoa, position, rng) -> List[TdoaMeasurement]:
+    """One TDoA burst as records: each visible anchor paired with the next."""
+    positions = np.array(tdoa.layout.positions)
+    biases, noise = reference_block_noise(tdoa.config, 1, len(positions), rng)
+    _, diffs, seen = reference_burst(
+        positions, tdoa.config, np.asarray(position, dtype=float), biases[0], noise[0]
+    )
+    anchors = [tdoa.layout.anchors[i] for i in seen]
+    return [
+        TdoaMeasurement(anchor_a=a, anchor_b=b, difference_m=float(diff))
+        for a, b, diff in zip(anchors, anchors[1:] + anchors[:1], diffs)
+    ]
+
+
+class ReferenceTdoaFilter:
+    """The TDoA filter of a :class:`~repro.uwb.PositionEstimator`, plainly.
+
+    Every step allocates, the burst solve is ``np.linalg.solve``, and
+    :meth:`read` picks a read's window with a Python loop; the product
+    path must match it bit for bit.
+    """
+
+    def __init__(self, layout, ranging, ekf_config, initial_position):
+        self.positions = np.array(layout.positions)
+        self.ranging = ranging
+        self.ekf_config = ekf_config
+        self.x = np.zeros(6)
+        self.x[:3] = initial_position
+        self.P = self.prior()
+        self.accepted = self.rejected = self.resets = 0
+        self.bursts = []
+        self.pending = []
+
+    def prior(self):
+        p0 = self.ekf_config.initial_position_std**2
+        v0 = self.ekf_config.initial_velocity_std**2
+        return np.diag([p0, p0, p0, v0, v0, v0])
+
+    def record(self, dt, position):
+        self.pending.append((dt, np.array(position, dtype=float)))
+
+    def read(self, rng, window_s):
+        """Run the pending ticks of the last ``window_s`` seconds."""
+        kept, span = 0, 0.0
+        for dt, _ in reversed(self.pending):
+            span += dt
+            if kept and span > window_s + 1e-9:
+                break
+            kept += 1
+        ticks = self.pending[len(self.pending) - kept :]
+        if kept < len(self.pending):
+            self.x[3:] = 0.0
+            self.P = self.prior()
+            self.resets += 1
+        self.pending = []
+        if not ticks:
+            return self.x[:3]
+        biases, noise = reference_block_noise(
+            self.ranging, len(ticks), len(self.positions), rng
+        )
+        for (dt, position), row_biases, row_noise in zip(ticks, biases, noise):
+            self.predict(dt)
+            stacked, diffs, _ = reference_burst(
+                self.positions, self.ranging, position, row_biases, row_noise
+            )
+            self.bursts.append(len(diffs))
+            self.update(stacked, diffs, self.ranging.tdoa_sigma_m)
+        return self.x[:3]
+
+    def predict(self, dt):
+        F = np.eye(6)
+        F[0, 3] = F[1, 4] = F[2, 5] = dt
+        q = self.ekf_config.accel_noise_std**2
+        Q = np.zeros((6, 6))
+        for i in range(3):
+            Q[i, i] = q * dt**4 / 4.0
+            Q[i, i + 3] = Q[i + 3, i] = q * dt**3 / 2.0
+            Q[i + 3, i + 3] = q * (dt * dt)
+        self.x = F @ self.x
+        self.P = F @ self.P @ F.T + Q
+        self.P = (self.P + self.P.T) / 2.0
+
+    def update(self, stacked, z, sigma_m):
+        m = len(z)
+        if not m:
+            return
+        delta = self.x[:3] - stacked
+        norms = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+        if norms.min() < 1e-6:
+            usable = (norms[:m] >= 1e-6) & (norms[m:] >= 1e-6)
+            keep = np.concatenate([usable, usable])
+            delta, norms = delta[keep], norms[keep]
+            z = z[usable]
+            m = len(z)
+            if not m:
+                return
+        unit = delta / norms[:, None]
+        h = unit[m:] - unit[:m]
+        innovation = z - (norms[m:] - norms[:m])
+        pht = self.P[:, :3] @ h.T
+        S = h @ pht[:3]
+        S.flat[:: m + 1] += sigma_m * sigma_m
+        gate = self.ekf_config.gate_sigma**2
+        passed = innovation * innovation <= gate * S.flat[:: m + 1]
+        accepted = int(passed.sum())
+        if accepted < m:
+            self.rejected += m - accepted
+            if not accepted:
+                return
+            pht = pht[:, passed]
+            innovation = innovation[passed]
+            S = S[np.ix_(passed, passed)]
+        rhs = np.empty((accepted, 7))
+        rhs[:, 0] = innovation
+        rhs[:, 1:] = pht.T
+        solved = np.linalg.solve(S, rhs)
+        self.x += pht @ solved[:, 0]
+        self.P -= pht @ solved[:, 1:]
+        self.P = (self.P + self.P.T) / 2.0
+        self.accepted += accepted

@@ -83,8 +83,9 @@ class TestFleetEquivalencePin:
     """The one-drone acquisition loop, pinned at the artifact-byte level.
 
     ``acquisition="active"`` flies the one-drone fleet, so both specs
-    build the artifact recorded from the dedicated single-drone loop
-    it replaced — distinct spec digests, one pinned content hash.
+    build one artifact — distinct spec digests, one pinned content hash
+    (first recorded from the dedicated single-drone loop the fleet
+    replaced, re-recorded once for the windowed UWB filter).
     """
 
     SMALL = {
@@ -101,7 +102,7 @@ class TestFleetEquivalencePin:
         "resolution_m": 0.8,
         "min_samples_per_mac": 3,
     }
-    CONTENT_HASH = "5507b04e87cf52223cc96929e44738818b9af83cb30f7dd3fdf832bd1bfea24d"
+    CONTENT_HASH = "81d934f228fcf8a70e55c8bf8691e5e1ff762dd125b9c1c74fc5a2bec1582eb8"
 
     def test_one_drone_fleet_builds_the_active_artifact(self):
         active_spec = RemJobSpec(

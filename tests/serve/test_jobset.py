@@ -337,14 +337,14 @@ class TestSweepContentHashes:
         ("office", "idw", "fleet"),
     )
     CONTENT_HASHES = (
-        "dca04fbfc3b9aa85b4d960839acc4defa0bdab5e681c9233fb5c1deb38e63839",
-        "e02a4fc6ea1083e9de9fa61d3b537b25387bc5847927eb2a79a528f3b0e49264",
-        "53d744b189d4e08c13100fc5fb23f87a20e3605ba185715b7ede1325a5575488",
-        "88516fba7227cd3defbc9b2b1e09c5c9fcadfa44bbe46018012bdb8fb713b9a0",
-        "4249786dd3fff6578e2701d0f5379972b760c75c5fb1f4ed2fd74e66aba04212",
-        "caf80626419a38d70b107672946756b7aa9ce8e595887c3df01bd41f2eb95535",
-        "6449a86e8f43562dc0680a474b79e0fc21c6776f7429fa7318f3614afd43e5c6",
-        "e715cd108fb96ccc825a8c4e6e7a0e95a4dd1d41e4960925d83c44580ade4860",
+        "0d93e8093342aab5d21905eb1407a2aca8816070b7e9d2fa79bf9ce8b40a2f8a",
+        "47b85d0a3c1622c11b145235b8c136b5ce95a75909dfc30e37791ea7f91c13cc",
+        "449e7e625432ea11679ef3df9839e953b2b5a355636bc6f10e03e1bc7bfaaae4",
+        "db3a73a96f9f044b4341d6b2a246f1aa63c5dfe5d3cc63de8802b898fae95e98",
+        "fb84af04e55b8f196fc248e928a9687dc9fb99fea1d1334b9a6de95c685cfc2d",
+        "2b220aadb871990e9683942a2843470368ded99937a88a12992accaaf4233327",
+        "e636034d4210dcaf98daad0469cd30a71fa25da4b51c4a81f5f149a6ec253f78",
+        "7cce4672a660a065b28d1b7b765d70fd9d58614b23ada26c3fa669683255a81b",
     )
 
     def test_sweep_cells_keep_their_content_hash(self, tmp_path):

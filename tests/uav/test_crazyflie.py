@@ -1,5 +1,7 @@
 """Integration-grade unit tests for the Crazyflie vehicle."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from repro.sim import Simulator, Timeout, spawn
 from repro.uav import Crazyflie, FirmwareConfig, FlightState, UavConfig
 from repro.uav import app_protocol as proto
 from repro.uwb import corner_layout
+from repro.uwb.localization import WINDOW_S
+from tests.oracles import ReferenceTdoaFilter
 
 
 def make_uav(firmware=None, scenario=None, name="test", **uav_config):
@@ -79,7 +83,7 @@ class TestTakeoffAndFlight:
 
 
 class TestCatchUpEstimate:
-    """The estimate read after landing ≡ the estimate run every tick."""
+    """The estimate read after landing ≡ the plain filter over its window."""
 
     @staticmethod
     def fly(read_every_tick):
@@ -106,19 +110,32 @@ class TestCatchUpEstimate:
         assert uav.state is FlightState.LANDED
         return uav
 
-    def test_late_read_equals_per_tick(self):
+    def test_late_read_filters_the_last_window(self):
         late, per_tick = self.fly(False), self.fly(True)
-        assert late.estimator._n_pending > 100
-        assert np.array_equal(late.estimated_position, per_tick.estimated_position)
-        assert np.array_equal(late.estimator.ekf.P, per_tick.estimator.ekf.P)
-        assert (
-            late.estimator.ekf.accepted_updates
-            == per_tick.estimator.ekf.accepted_updates
+        estimator = late.estimator
+        n = estimator._n_pending
+        assert n > 100
+        reference = ReferenceTdoaFilter(
+            estimator.layout,
+            estimator.ranging_config,
+            estimator.ekf.config,
+            estimator.ekf.position,
         )
+        for dt, position in zip(
+            estimator._pending_dt[:n], estimator._pending_positions[:n]
+        ):
+            reference.record(dt, position)
+        rng = copy.deepcopy(late._uwb_rng)
+        expected = reference.read(rng, WINDOW_S)
+        assert np.array_equal(late.estimated_position, expected)
+        assert np.array_equal(estimator.ekf.P, reference.P)
+        assert reference.resets == 1 and len(reference.bursts) == 50
+        assert rng.bit_generator.state == late._uwb_rng.bit_generator.state
+        # The estimate steers nothing: both flights fly the same path,
+        # and the per-tick reader, which never drops a tick, ran more.
         assert np.array_equal(late.position, per_tick.position)
-        assert (
-            late._uwb_rng.bit_generator.state == per_tick._uwb_rng.bit_generator.state
-        )
+        assert per_tick.estimator.ekf.accepted_updates > estimator.ekf.accepted_updates
+        assert np.linalg.norm(late.estimated_position - late.position) < 0.2
 
 
 class TestLocalizationRate:

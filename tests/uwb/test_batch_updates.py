@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 
 from repro.radio.geometry import Cuboid
-from repro.uwb import PositionVelocityEkf
+from repro.uwb import PositionVelocityEkf, kalman
 from repro.uwb.anchors import corner_layout
+from repro.uwb.kalman import EkfConfig
+from repro.uwb.localization import WINDOW_S, PositionEstimator
 from repro.uwb.ranging import RangingConfig, TdoaRanging
+from tests.oracles import (
+    ReferenceTdoaFilter,
+    reference_block_noise,
+    reference_burst,
+    reference_measure_all,
+    reference_update_tdoa,
+)
 
 
 def clean_config(**kwargs):
@@ -22,17 +31,17 @@ def layout():
 
 class TestMeasureStacked:
     def test_matches_measure_all(self, layout):
-        tdoa = TdoaRanging(layout, clean_config())
+        tdoa = TdoaRanging(layout, RangingConfig(nlos_probability=0.5))
         position = (1.5, 1.2, 1.0)
         stacked, diffs = tdoa.measure_stacked(position, np.random.default_rng(7))
-        records = tdoa.measure_all(position, np.random.default_rng(7))
+        records = reference_measure_all(tdoa, position, np.random.default_rng(7))
         m = len(records)
         assert len(diffs) == m
         assert stacked.shape == (2 * m, 3)
         for i, record in enumerate(records):
-            assert np.allclose(stacked[i], record.anchor_a.position)
-            assert np.allclose(stacked[m + i], record.anchor_b.position)
-            assert diffs[i] == pytest.approx(record.difference_m, abs=1e-12)
+            assert np.array_equal(stacked[i], record.anchor_a.position)
+            assert np.array_equal(stacked[m + i], record.anchor_b.position)
+            assert diffs[i] == record.difference_m
 
     def test_out_of_range_returns_empty(self, layout):
         tdoa = TdoaRanging(layout, clean_config(max_range_m=1.0))
@@ -62,7 +71,7 @@ class TestJointTdoaUpdate:
         scalar = PositionVelocityEkf((1.0, 1.5, 1.0))
         accepted = joint.update_tdoa_stacked(np.array([a, b]), np.array([0.4]), 0.2)
         assert accepted == 1
-        assert scalar.update_tdoa(a, b, 0.4, 0.2)
+        assert reference_update_tdoa(scalar, a, b, 0.4, 0.2)
         np.testing.assert_allclose(joint.x, scalar.x, atol=1e-12)
         np.testing.assert_allclose(joint.P, scalar.P, atol=1e-12)
 
@@ -120,131 +129,22 @@ class TestJointTdoaUpdate:
                 assert np.linalg.eigvalsh(ekf.P).min() > -1e-9
 
 
-class _ReferenceTick:
-    """The three-call TDoA step as first written: every call allocates.
-
-    A test-local copy of ``ekf.predict`` → ``measure_stacked`` →
-    ``ekf.update_tdoa_stacked`` before the filter and the ranging model
-    kept their own buffers; the lean tick must match it bit for bit.
-    """
-
-    def __init__(self, layout, ranging, ekf_config, initial_position):
-        self.positions = np.array(layout.positions)
-        self.ranging = ranging
-        self.gate_sigma = ekf_config.gate_sigma
-        self.accel_noise_std = ekf_config.accel_noise_std
-        self.x = np.zeros(6)
-        self.x[:3] = initial_position
-        p0 = ekf_config.initial_position_std**2
-        v0 = ekf_config.initial_velocity_std**2
-        self.P = np.diag([p0, p0, p0, v0, v0, v0])
-        self.accepted = self.rejected = 0
-        self.bursts = []
-
-    def step(self, dt, position, rng):
-        self.predict(dt)
-        stacked, diffs = self.measure(np.asarray(position, dtype=float), rng)
-        self.bursts.append(len(diffs))
-        self.update(stacked, diffs, self.ranging.tdoa_sigma_m)
-
-    def predict(self, dt):
-        F = np.eye(6)
-        F[0, 3] = F[1, 4] = F[2, 5] = dt
-        q = self.accel_noise_std**2
-        Q = np.zeros((6, 6))
-        for i in range(3):
-            Q[i, i] = q * dt**4 / 4.0
-            Q[i, i + 3] = Q[i + 3, i] = q * dt**3 / 2.0
-            Q[i + 3, i + 3] = q * (dt * dt)
-        self.x = F @ self.x
-        self.P = F @ self.P @ F.T + Q
-        self.P = (self.P + self.P.T) / 2.0
-
-    def measure(self, p, rng):
-        cfg = self.ranging
-        delta = self.positions - p
-        distances = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-        if distances.max() <= cfg.max_range_m:
-            visible = self.positions
-        else:
-            distances = np.sqrt(((self.positions - p) ** 2).sum(axis=1))
-            mask = distances <= cfg.max_range_m
-            visible, distances = self.positions[mask], distances[mask]
-            if len(visible) < 2:
-                return np.zeros((0, 3)), np.zeros(0)
-        count = len(distances)
-        db = np.empty_like(distances)
-        db[:-1], db[-1] = distances[1:], distances[0]
-        biases = np.zeros(2 * count)
-        hits = rng.random(2 * count) < cfg.nlos_probability
-        n_hits = int(hits.sum())
-        if n_hits:
-            biases[hits] = rng.uniform(0.0, cfg.nlos_bias_max_m, size=n_hits)
-        diffs = (
-            db
-            - distances
-            + rng.normal(0.0, cfg.tdoa_sigma_m, size=count)
-            + biases[:count]
-            - biases[count:]
-        )
-        return np.concatenate([visible, np.roll(visible, -1, axis=0)]), diffs
-
-    def update(self, stacked, z, sigma_m):
-        m = len(z)
-        if not m:
-            return
-        delta = self.x[:3] - stacked
-        norms = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-        if norms.min() < 1e-6:
-            usable = (norms[:m] >= 1e-6) & (norms[m:] >= 1e-6)
-            keep = np.concatenate([usable, usable])
-            delta, norms = delta[keep], norms[keep]
-            z = z[usable]
-            m = len(z)
-            if not m:
-                return
-        unit = delta / norms[:, None]
-        h = unit[m:] - unit[:m]
-        innovation = z - (norms[m:] - norms[:m])
-        pht = self.P[:, :3] @ h.T
-        S = h @ pht[:3]
-        S.flat[:: m + 1] += sigma_m * sigma_m
-        passed = innovation * innovation <= (self.gate_sigma**2) * S.flat[:: m + 1]
-        accepted = int(passed.sum())
-        if accepted < m:
-            self.rejected += m - accepted
-            if not accepted:
-                return
-            pht = pht[:, passed]
-            innovation = innovation[passed]
-            S = S[np.ix_(passed, passed)]
-        rhs = np.empty((accepted, 7))
-        rhs[:, 0] = innovation
-        rhs[:, 1:] = pht.T
-        solved = np.linalg.solve(S, rhs)
-        self.x += pht @ solved[:, 0]
-        self.P -= pht @ solved[:, 1:]
-        self.P = (self.P + self.P.T) / 2.0
-        self.accepted += accepted
-
-
 class TestLeanTick:
-    """``PositionEstimator.step`` ≡ the allocating three-call step."""
+    """``PositionEstimator.step`` ≡ the allocating tick, one burst a read."""
 
     def run_both(self, layout, ranging, path, seed, start=None):
-        from repro.uwb.kalman import EkfConfig
-        from repro.uwb.localization import PositionEstimator
-
         start = path[0] if start is None else start
         lean = PositionEstimator(layout, ranging_config=ranging, initial_position=start)
-        reference = _ReferenceTick(layout, ranging, EkfConfig(), start)
+        reference = ReferenceTdoaFilter(layout, ranging, EkfConfig(), start)
         lean_rng = np.random.default_rng(seed)
         reference_rng = np.random.default_rng(seed)
         for position in path:
             lean.step(0.04, position, lean_rng)
-            reference.step(0.04, position, reference_rng)
+            reference.record(0.04, position)
+            reference.read(reference_rng, WINDOW_S)
             assert np.array_equal(lean.ekf.x, reference.x)
             assert np.array_equal(lean.ekf.P, reference.P)
+        assert reference.resets == 0
         assert lean.ekf.accepted_updates == reference.accepted
         assert lean.ekf.rejected_updates == reference.rejected
         assert lean_rng.random() == reference_rng.random()
@@ -277,46 +177,43 @@ class TestLeanTick:
         path = np.repeat(anchor[None, :], 200, axis=0)
         self.run_both(layout, RangingConfig(), path, seed=5, start=anchor)
 
-    def test_zero_sigma_is_singular(self, layout):
-        from repro.uwb.localization import PositionEstimator
-
-        estimator = PositionEstimator(
-            layout,
-            ranging_config=RangingConfig(tdoa_sigma_m=0.0),
-            initial_position=(1.0, 1.0, 1.0),
-        )
-        with pytest.raises(np.linalg.LinAlgError):
-            estimator.step(0.04, (1.2, 1.1, 1.0), np.random.default_rng(0))
+    @pytest.mark.parametrize("mode", ["tdoa", "twr"])
+    def test_zero_sigma_is_rejected(self, layout, mode):
+        ranging = RangingConfig(tdoa_sigma_m=0.0, twr_sigma_m=0.0)
+        with pytest.raises(ValueError, match=f"{mode}_sigma_m must be > 0"):
+            PositionEstimator(layout, mode=mode, ranging_config=ranging)
 
 
 class TestCatchUp:
-    """Recorded ticks, run when the estimate is read, ≡ the per-tick oracle."""
+    """A read ≡ the plain filter run over that read's window of ticks."""
 
     def run_both(self, layout, ranging, path, seed, start=None):
-        from repro.uwb.kalman import EkfConfig
-        from repro.uwb.localization import PositionEstimator
-
         start = path[0] if start is None else start
         estimator = PositionEstimator(
             layout, ranging_config=ranging, initial_position=start
         )
-        reference = _ReferenceTick(layout, ranging, EkfConfig(), start)
+        reference = ReferenceTdoaFilter(layout, ranging, EkfConfig(), start)
         rng = np.random.default_rng(seed)
         reference_rng = np.random.default_rng(seed)
         reads = np.random.default_rng(seed + 1000).random(len(path)) < 0.03
         assert 10 < reads.sum() < len(path) // 10
         for position, read in zip(path, reads):
             estimator.record(0.04, position, rng)
-            reference.step(0.04, position, reference_rng)
+            reference.record(0.04, position)
             if read:
-                assert np.array_equal(estimator.position, reference.x[:3])
+                expected = reference.read(reference_rng, WINDOW_S)
+                assert np.array_equal(estimator.position, expected)
                 assert np.array_equal(estimator.ekf.x, reference.x)
                 assert np.array_equal(estimator.ekf.P, reference.P)
-        assert estimator.error_m(path[-1]) == np.linalg.norm(reference.x[:3] - path[-1])
+        expected = reference.read(reference_rng, WINDOW_S)
+        assert estimator.error_m(path[-1]) == np.linalg.norm(expected - path[-1])
         assert np.array_equal(estimator.ekf.P, reference.P)
         assert estimator.ekf.accepted_updates == reference.accepted
         assert estimator.ekf.rejected_updates == reference.rejected
         assert rng.random() == reference_rng.random()
+        # Some reads restart from the reset and some continue the filter.
+        assert 0 < reference.resets < reads.sum()
+        assert len(reference.bursts) < len(path)
         return reference
 
     def test_nlos_gate_rejections(self, layout):
@@ -325,7 +222,7 @@ class TestCatchUp:
             2500, np.array([0.3, 0.3, 0.3]), np.array([3.4, 2.9, 1.8])
         )
         reference = self.run_both(layout, ranging, path, seed=3)
-        assert reference.rejected > 100
+        assert reference.rejected > 50
 
     def test_partial_visibility(self, layout):
         ranging = RangingConfig(max_range_m=3.6)
@@ -340,9 +237,21 @@ class TestCatchUp:
         path = np.repeat(anchor[None, :], 600, axis=0)
         self.run_both(layout, RangingConfig(), path, seed=5, start=anchor)
 
-    def test_record_copies_the_position(self, layout):
-        from repro.uwb.localization import PositionEstimator
+    def test_a_read_filters_only_its_window(self, layout):
+        estimator = PositionEstimator(layout, initial_position=(1.0, 1.0, 1.0))
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            estimator.record(0.04, (1.2, 1.1, 1.0), rng)
+        estimator.ekf.x[3:] = 5.0  # a velocity the reset must clear
+        estimator.position
+        assert estimator.ekf.accepted_updates == 50 * len(layout)
+        # 50 bursts in one block of draws: the older ticks drew nothing.
+        reference = np.random.default_rng(0)
+        reference_block_noise(estimator.ranging_config, 50, len(layout), reference)
+        assert rng.random() == reference.random()
+        assert np.abs(estimator.ekf.velocity).max() < 1.0
 
+    def test_record_copies_the_position(self, layout):
         moved = PositionEstimator(layout, initial_position=(1.0, 1.0, 1.0))
         fixed = PositionEstimator(layout, initial_position=(1.0, 1.0, 1.0))
         truth = np.array([1.2, 1.1, 1.0])
@@ -353,8 +262,6 @@ class TestCatchUp:
         assert np.array_equal(moved.position, fixed.position)
 
     def test_unread_ticks_stay_pending(self, layout):
-        from repro.uwb.localization import PositionEstimator
-
         estimator = PositionEstimator(layout, initial_position=(1.0, 1.0, 1.0))
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
@@ -367,8 +274,6 @@ class TestCatchUp:
         assert estimator.ekf.accepted_updates > 0
 
     def test_a_second_stream_while_pending_raises(self, layout):
-        from repro.uwb.localization import PositionEstimator
-
         estimator = PositionEstimator(layout, initial_position=(1.0, 1.0, 1.0))
         rng = np.random.default_rng(0)
         estimator.record(0.04, (1.2, 1.1, 1.0), rng)
@@ -377,35 +282,47 @@ class TestCatchUp:
         estimator.position  # the pending tick runs; a new stream is fine now
         estimator.record(0.04, (1.2, 1.1, 1.0), np.random.default_rng(1))
 
-    def test_zero_sigma_surfaces_at_the_read(self, layout):
-        from repro.uwb.localization import PositionEstimator
-
-        estimator = PositionEstimator(
-            layout,
-            ranging_config=RangingConfig(tdoa_sigma_m=0.0),
-            initial_position=(1.0, 1.0, 1.0),
-        )
-        estimator.record(0.04, (1.2, 1.1, 1.0), np.random.default_rng(0))
+    def test_a_tick_error_surfaces_at_the_read(self, layout, monkeypatch):
+        # S made exactly singular on every LAPACK kernel: the solve sees
+        # a zero matrix, whose first pivot is zero.
+        solve = kalman._solve
+        monkeypatch.setattr(kalman, "_solve", lambda a, b: solve(0.0 * a, b))
+        estimator = PositionEstimator(layout, initial_position=(1.0, 1.0, 1.0))
+        rng = np.random.default_rng(0)
+        estimator.record(0.04, (1.2, 1.1, 1.0), rng)
+        estimator.record(0.04, (1.2, 1.1, 1.0), rng)
         with pytest.raises(np.linalg.LinAlgError):
             estimator.position
+        # The error dropped the rest of the block; later reads work.
+        monkeypatch.setattr(kalman, "_solve", solve)
+        assert estimator.ekf.accepted_updates == 0
+        estimator.record(0.04, (1.2, 1.1, 1.0), rng)
+        estimator.position
+        assert estimator.ekf.accepted_updates == len(layout)
 
 
 class TestMeasureBlock:
-    """A block ``measure_stacked`` ≡ one one-position call per row."""
+    """A block ``measure_stacked`` ≡ the block draw contract, burst by burst."""
 
     @staticmethod
-    def assert_block_matches_rows(tdoa, positions, seed):
+    def assert_block_matches_reference(tdoa, positions, seed):
         block_rng = np.random.default_rng(seed)
-        row_rng = np.random.default_rng(seed)
+        reference_rng = np.random.default_rng(seed)
         stacked, diffs = tdoa.measure_stacked(positions, block_rng)
         assert len(stacked) == len(diffs) == len(positions)
+        anchors = np.array(tdoa.layout.positions)
+        biases, noise = reference_block_noise(
+            tdoa.config, len(positions), len(anchors), reference_rng
+        )
         sizes = set()
-        for position, block_pairs, block_diffs in zip(positions, stacked, diffs):
-            pairs, row_diffs = tdoa.measure_stacked(position, row_rng)
-            assert np.array_equal(block_pairs, pairs)
-            assert np.array_equal(block_diffs, row_diffs)
+        for i, position in enumerate(positions):
+            pairs, row_diffs, _ = reference_burst(
+                anchors, tdoa.config, position, biases[i], noise[i]
+            )
+            assert np.array_equal(stacked[i], pairs)
+            assert np.array_equal(diffs[i], row_diffs)
             sizes.add(len(row_diffs))
-        assert block_rng.bit_generator.state == row_rng.bit_generator.state
+        assert block_rng.bit_generator.state == reference_rng.bit_generator.state
         return sizes
 
     def test_whole_layout_with_nlos_hits(self, layout):
@@ -415,19 +332,23 @@ class TestMeasureBlock:
         )
         stacked, diffs = tdoa.measure_stacked(positions, np.random.default_rng(2))
         assert diffs.shape == (40, len(layout))
-        sizes = self.assert_block_matches_rows(tdoa, positions, seed=2)
+        sizes = self.assert_block_matches_reference(tdoa, positions, seed=2)
         assert sizes == {len(layout)}
 
     def test_one_row_block(self, layout):
         tdoa = TdoaRanging(layout, RangingConfig(nlos_probability=0.5))
-        self.assert_block_matches_rows(tdoa, np.array([[1.5, 1.2, 1.0]]), seed=3)
+        positions = np.array([[1.5, 1.2, 1.0]])
+        self.assert_block_matches_reference(tdoa, positions, seed=3)
+        _, block = tdoa.measure_stacked(positions, np.random.default_rng(3))
+        _, one = tdoa.measure_stacked(positions[0], np.random.default_rng(3))
+        assert np.array_equal(block[0], one)
 
     def test_partially_visible_rows(self, layout):
         tdoa = TdoaRanging(layout, RangingConfig(max_range_m=3.6))
         positions = np.random.default_rng(4).uniform(
             (-1.0, -1.0, 0.0), (4.7, 4.2, 2.1), size=(60, 3)
         )
-        sizes = self.assert_block_matches_rows(tdoa, positions, seed=5)
+        sizes = self.assert_block_matches_reference(tdoa, positions, seed=5)
         assert len(layout) in sizes and len(sizes) >= 3
 
     def test_one_position_keeps_its_shapes(self, layout):

