@@ -13,7 +13,6 @@ cache hit: the artifact is loaded, no campaign is re-flown.
 
 from __future__ import annotations
 
-import ctypes
 import time
 from typing import Optional
 
@@ -26,11 +25,6 @@ from .artifact import ArtifactStore, RemArtifact
 from .spec import RemJobSpec
 
 __all__ = ["run_job"]
-
-try:  # glibc only; elsewhere freed memory goes back by the allocator's rules
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):  # pragma: no cover - non-glibc
-    _malloc_trim = None
 
 
 def run_job(spec: RemJobSpec, store: Optional[ArtifactStore] = None) -> RemArtifact:
@@ -101,21 +95,4 @@ def run_job(spec: RemJobSpec, store: Optional[ArtifactStore] = None) -> RemArtif
     )
     if store is not None:
         store.save(artifact)
-    _return_free_heap()
     return artifact
-
-
-def _return_free_heap() -> None:
-    """Hand the pages of a build's freed temporaries back to the OS.
-
-    glibc serves the build's mid-sized arrays (the per-MAC k-NN
-    gathers, the online builder's scoring blocks) from the heap once
-    its dynamic mmap threshold has risen, and a free there only shrinks
-    the heap from the top.  Whatever sits below a live block stays
-    resident, so how much of one build's memory the next build of a
-    sweep (or a worker forked after it) starts with depended on
-    allocation order: 16 to 55 MB after the same sweep cell.
-    ``malloc_trim`` returns every free page, wherever it lies.
-    """
-    if _malloc_trim is not None:
-        _malloc_trim(0)

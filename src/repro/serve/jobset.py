@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import ctypes
 import hashlib
 import os
 import time
@@ -297,6 +298,12 @@ class JobSetResult:
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
+try:  # glibc only; other allocators keep their own rules
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):  # pragma: no cover - non-glibc
+    _malloc_trim = None
+
+
 def _execute_job(spec_dict: Dict[str, object], store: ArtifactStore) -> Dict:
     """Run one job against the store; returns the result payload."""
     delay = float(os.environ.get(_DELAY_ENV, "0") or 0.0)
@@ -305,11 +312,30 @@ def _execute_job(spec_dict: Dict[str, object], store: ArtifactStore) -> Dict:
     start = time.perf_counter()
     spec = RemJobSpec.from_dict(spec_dict)
     artifact = run_job(spec, store)
-    return {
+    result = {
         "digest": artifact.digest,
         "cache_hit": artifact.cache_hit,
         "wall_s": time.perf_counter() - start,
     }
+    del artifact
+    _return_free_heap()
+    return result
+
+
+def _return_free_heap() -> None:
+    """Hand the pages of a finished job's freed memory back to the OS.
+
+    One process runs job after job.  glibc serves a build's mid-sized
+    arrays (the per-MAC k-NN gathers, the online builder's scoring
+    blocks) from the heap once its dynamic mmap threshold has risen,
+    and a free there only shrinks the heap from the top, so freed
+    blocks below a live one stay resident.  How much of one job's
+    memory the next job started with then depended on allocation
+    order: 16 or 55 MB after the same sweep cell, and a 22 MB higher
+    peak in the next one.  ``malloc_trim`` returns every free page.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 def _worker_main(conn, store_root: str, cache_dir: Optional[str] = None) -> None:

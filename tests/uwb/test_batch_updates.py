@@ -222,7 +222,7 @@ class TestCatchUp:
             2500, np.array([0.3, 0.3, 0.3]), np.array([3.4, 2.9, 1.8])
         )
         reference = self.run_both(layout, ranging, path, seed=3)
-        assert reference.rejected > 50
+        assert reference.rejected > 100
 
     def test_partial_visibility(self, layout):
         ranging = RangingConfig(max_range_m=3.6)

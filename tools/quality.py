@@ -70,7 +70,6 @@ CELLS = (
 HOVER_ANCHORS = 6
 HOVER_RUNS = 10
 HOVER_POINT = (1.87, 1.6, 1.0)
-STATS = ("mean", "p50", "p95", "min", "max")
 
 
 def summarize(values: Sequence[float]) -> Dict[str, float]:
@@ -148,9 +147,7 @@ def report(seeds: Sequence[int]) -> dict:
             values.setdefault("hover.mean_error_cm", []).append(
                 100 * hover.mean_error_m
             )
-            values.setdefault("hover.p95_error_cm", []).append(
-                100 * hover.p95_error_m
-            )
+            values.setdefault("hover.p95_error_cm", []).append(100 * hover.p95_error_m)
     default_cache().clear()
     return {
         "seeds": list(seeds),
