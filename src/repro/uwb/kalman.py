@@ -178,9 +178,11 @@ class PositionVelocityEkf:
         return self.x[3:].copy()
 
     def restart(self) -> None:
-        """Restart the filter where it stands: keep the position
-        estimate, zero the velocity and reset ``P`` to the take-off
-        prior of :class:`EkfConfig`."""
+        """Restart the filter from its position estimate.
+
+        The velocity goes to zero and ``P`` back to the take-off prior
+        of :class:`EkfConfig`.
+        """
         self.x[3:] = 0.0
         self.P[...] = self._prior_covariance()
 
